@@ -46,8 +46,6 @@ class Spectrogram:
     """Fixed-shape (32 frames, 32 bands) non-negative magnitude matrix."""
 
     values: np.ndarray
-    frame_step: int = FRAME
-    window: str = "hann"
 
     @property
     def shape(self):

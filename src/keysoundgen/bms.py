@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -90,8 +91,6 @@ CHANNEL_MEASURE_LENGTH = 2
 CHANNEL_BPM = 3
 CHANNEL_BPM_INDEXED = 8
 
-PLAYABLE_LANES = tuple(lane for lane in Lane if lane.playable)
-
 
 @dataclass(frozen=True)
 class SampleRef:
@@ -162,9 +161,6 @@ class Chart:
             last = max(last, max(self.measure_lengths))
         return last
 
-    def measure_length(self, measure: int) -> Fraction:
-        return self.measure_lengths.get(measure, Fraction(1))
-
     def playable_indices(self) -> list[int]:
         return [i for i, o in enumerate(self.objects) if o.playable]
 
@@ -202,8 +198,8 @@ def make_chart(
 
     deduped: dict[tuple[int, Fraction], BpmEvent] = {}
     for event in bpm_events:
-        if event.bpm <= 0:
-            raise DataError(f"non-positive BPM {event.bpm} at measure {event.measure}")
+        if not (math.isfinite(event.bpm) and event.bpm > 0):
+            raise DataError(f"BPM {event.bpm} at measure {event.measure} is not finite and positive")
         if event.measure < 0 or not 0 <= event.position < 1:
             raise DataError(f"BPM event at invalid position {event.measure}+{event.position}")
         deduped[(event.measure, event.position)] = BpmEvent(
@@ -243,6 +239,22 @@ def make_chart(
             seen_playable.add(key)
 
     return Chart(objs, table, events, lengths, metadata, tuple(warnings))
+
+
+def instant_groups(chart: Chart, indices):
+    """Split ascending object indices into runs sharing an exact (measure, position)."""
+    group: list[int] = []
+    key = None
+    for i in indices:
+        obj = chart.objects[i]
+        obj_key = (obj.measure, obj.position)
+        if obj_key != key and group:
+            yield group
+            group = []
+        key = obj_key
+        group.append(i)
+    if group:
+        yield group
 
 
 def with_lanes(chart: Chart, lanes) -> Chart:
@@ -344,8 +356,6 @@ def parse_bms(text: str) -> Chart:
 
     if header_bpm is None:
         raise BmsParseError("document defines no initial #BPM")
-    if header_bpm <= 0:
-        raise BmsParseError(f"initial BPM must be positive, got {header_bpm}")
 
     objects: list[TimedObject] = []
     bpm_events: list[BpmEvent] = [BpmEvent(0, Fraction(0), header_bpm)]

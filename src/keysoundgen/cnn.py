@@ -12,8 +12,8 @@ All arithmetic is float64; model files round to little-endian float32.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import CATEGORY_COUNT, Spectrogram
 from .errors import DataError
+from .framing import BinaryFormat
 
 
 @dataclass(frozen=True)
@@ -45,31 +46,45 @@ def _pooled(size: int, kernel: int) -> int:
     return out // 2
 
 
+def parameter_shapes(config: ClassifierConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in model-file order."""
+    k, f1, f2 = config.kernel, config.conv1_filters, config.conv2_filters
+    h = _pooled(_pooled(config.input_shape[0], k), k)
+    w = _pooled(_pooled(config.input_shape[1], k), k)
+    return {
+        "kernels1": (f1, 1, k, k),
+        "bias1": (f1,),
+        "kernels2": (f2, f1, k, k),
+        "bias2": (f2,),
+        "weights": (f2 * h * w, config.classes),
+        "bias": (config.classes,),
+    }
+
+
 class ConvClassifier:
     """Conv -> ReLU -> pool -> conv -> ReLU -> pool -> dropout -> dense."""
 
     def __init__(self, config: ClassifierConfig, rng: np.random.Generator | None = None):
         self.config = config
         rng = rng or np.random.default_rng(config.seed)
-        k = config.kernel
-        h1 = _pooled(config.input_shape[0], k)
-        w1 = _pooled(config.input_shape[1], k)
-        h2 = _pooled(h1, k)
-        w2 = _pooled(w1, k)
-        self.flat_dim = config.conv2_filters * h2 * w2
+        shapes = parameter_shapes(config)
+        self.flat_dim = shapes["weights"][0]
+        for name, shape in shapes.items():
+            if len(shape) == 1:
+                setattr(self, name, np.zeros(shape))
+            else:  # fan-in: channels * kernel area for a convolution, rows for the dense layer
+                bound = 1.0 / np.sqrt(prod(shape[1:]) if len(shape) == 4 else shape[0])
+                setattr(self, name, rng.uniform(-bound, bound, size=shape))
 
-        def uniform(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        self.kernels1 = uniform((config.conv1_filters, 1, k, k), k * k)
-        self.bias1 = np.zeros(config.conv1_filters)
-        self.kernels2 = uniform(
-            (config.conv2_filters, config.conv1_filters, k, k), config.conv1_filters * k * k
-        )
-        self.bias2 = np.zeros(config.conv2_filters)
-        self.weights = uniform((self.flat_dim, config.classes), self.flat_dim)
-        self.bias = np.zeros(config.classes)
+    @classmethod
+    def from_arrays(cls, config: ClassifierConfig, arrays) -> "ConvClassifier":
+        """A model holding the given parameters (in parameter_shapes order), no random init."""
+        model = cls.__new__(cls)
+        model.config = config
+        for name, array in zip(parameter_shapes(config), arrays, strict=True):
+            setattr(model, name, array)
+        model.flat_dim = model.weights.shape[0]
+        return model
 
     # -- layers ---------------------------------------------------------
 
@@ -276,43 +291,20 @@ def classify_sample(model: ConvClassifier, spec) -> int:
 # Model file: magic, version, config header, float32 parameters
 # ---------------------------------------------------------------------------
 
-CLASSIFIER_MAGIC = b"KSGC"
-CLASSIFIER_VERSION = 1
-_HEADER = "<HIIIIIIdQ"  # version, h, w, f1, f2, kernel, classes, dropout, seed
+# version, h, w, conv1 filters, conv2 filters, kernel, classes, dropout, seed
+CLASSIFIER_FORMAT = BinaryFormat(b"KSGC", 1, "IIIIIIdQ", "classifier file")
 
 
 def save_classifier(path: str | Path, model: ConvClassifier) -> None:
-    config = model.config
-    parts = [
-        CLASSIFIER_MAGIC,
-        struct.pack(
-            _HEADER,
-            CLASSIFIER_VERSION,
-            config.input_shape[0],
-            config.input_shape[1],
-            config.conv1_filters,
-            config.conv2_filters,
-            config.kernel,
-            config.classes,
-            config.dropout,
-            config.seed,
-        ),
-    ]
-    for name in ("kernels1", "bias1", "kernels2", "bias2", "weights", "bias"):
-        parts.append(getattr(model, name).astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    c = model.config
+    fields = (*c.input_shape, c.conv1_filters, c.conv2_filters, c.kernel, c.classes)
+    CLASSIFIER_FORMAT.write(path, fields + (c.dropout, c.seed), model.parameters().values())
 
 
 def load_classifier(path: str | Path) -> ConvClassifier:
-    data = Path(path).read_bytes()
-    header_size = 4 + struct.calcsize(_HEADER)
-    if len(data) < header_size or data[:4] != CLASSIFIER_MAGIC:
-        raise DataError(f"{path}: not a classifier model file")
-    version, h, w, f1, f2, kernel, classes, dropout, seed = struct.unpack(
-        _HEADER, data[4:header_size]
-    )
-    if version != CLASSIFIER_VERSION:
-        raise DataError(f"{path}: unsupported classifier version {version}")
+    (h, w, f1, f2, kernel, classes, dropout, seed), _, payload = CLASSIFIER_FORMAT.read(path)
+    if not 1 <= classes <= CATEGORY_COUNT:
+        raise DataError(f"{path}: class count {classes} outside 1..{CATEGORY_COUNT}")
     config = ClassifierConfig(
         input_shape=(h, w),
         conv1_filters=f1,
@@ -322,18 +314,5 @@ def load_classifier(path: str | Path) -> ConvClassifier:
         dropout=dropout,
         seed=seed,
     )
-    model = ConvClassifier(config)
-    offset = header_size
-    if (len(data) - offset) % 4:
-        raise DataError(f"{path}: truncated classifier file")
-    raw = np.frombuffer(data, dtype="<f4", offset=offset)
-    cursor = 0
-    for name, param in model.parameters().items():
-        count = param.size
-        if cursor + count > raw.size:
-            raise DataError(f"{path}: truncated classifier file")
-        setattr(model, name, raw[cursor : cursor + count].astype(np.float64).reshape(param.shape))
-        cursor += count
-    if cursor != raw.size:
-        raise DataError(f"{path}: trailing bytes in classifier file")
-    return model
+    shapes = parameter_shapes(config).values()
+    return ConvClassifier.from_arrays(config, CLASSIFIER_FORMAT.arrays(path, payload, shapes))

@@ -35,6 +35,7 @@ from .bms import (
     Metadata,
     SampleRef,
     TimedObject,
+    instant_groups,
     make_chart,
 )
 from .errors import DataError
@@ -275,20 +276,9 @@ def random_score(rng: random.Random, max_group: int = 8):
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 150.0)])
 
     flags = [False] * len(chart.objects)
-    start = 0
-    while start < len(chart.objects):
-        end = start
-        key = (chart.objects[start].measure, chart.objects[start].position)
-        while end < len(chart.objects) and (
-            chart.objects[end].measure,
-            chart.objects[end].position,
-        ) == key:
-            end += 1
-        group = list(range(start, end))
-        budget = min(max_group, len(group))
-        for i in rng.sample(group, rng.randint(0, budget)):
+    for group in instant_groups(chart, range(len(chart.objects))):
+        for i in rng.sample(group, rng.randint(0, min(max_group, len(group)))):
             flags[i] = True
-        start = end
     return chart, flags
 
 

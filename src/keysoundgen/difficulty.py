@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor
 
-from .bms import Chart
+from .bms import Chart, instant_groups
 from .errors import DataError
 from .timing import TimeGrid
 
@@ -57,6 +57,26 @@ class DifficultyCurve:
     overall: float = 0.0
 
 
+class ControlStrain:
+    """Per-control individual strain: decays between presses, grows on each press."""
+
+    def __init__(self, config: StrainConfig = DEFAULT_STRAIN):
+        self._config = config
+        self._strain: dict = {}
+        self._last: dict = {}
+
+    def at(self, control, t: float) -> float:
+        """Residual strain of a control at time t (0 for a control never pressed)."""
+        decay = self._config.decay_individual ** (t - self._last.get(control, t))
+        return self._strain.get(control, 0.0) * decay
+
+    def press(self, control, t: float) -> float:
+        strain = self.at(control, t) + self._config.base_individual
+        self._strain[control] = strain
+        self._last[control] = t
+        return strain
+
+
 def compute_strain(
     chart: Chart, grid: TimeGrid, config: StrainConfig = DEFAULT_STRAIN
 ) -> list[ObjectStrain | None]:
@@ -74,41 +94,19 @@ def compute_strain(
         control_of = lambda obj: obj.sample.id
 
     result: list[ObjectStrain | None] = [None] * len(chart.objects)
-    individual: dict = {}
-    last_time: dict = {}
+    individual = ControlStrain(config)
     overall = 0.0
     last_overall_time = 0.0
 
-    for group in _simultaneous_groups(chart, contributing):
+    for group in instant_groups(chart, contributing):
         t = grid.seconds(chart.objects[group[0]].measure, chart.objects[group[0]].position)
         overall = overall * config.decay_overall ** (t - last_overall_time)
         overall += config.base_overall * len(group)
         last_overall_time = t
         for i in group:
-            c = control_of(chart.objects[i])
-            strain = individual.get(c, 0.0)
-            strain = strain * config.decay_individual ** (t - last_time.get(c, t))
-            strain += config.base_individual
-            individual[c] = strain
-            last_time[c] = t
+            strain = individual.press(control_of(chart.objects[i]), t)
             result[i] = ObjectStrain(strain, overall)
     return result
-
-
-def _simultaneous_groups(chart: Chart, indices: list[int]):
-    """Split contributing object indices into groups sharing an exact position."""
-    group: list[int] = []
-    key = None
-    for i in indices:
-        obj = chart.objects[i]
-        obj_key = (obj.measure, obj.position)
-        if obj_key != key and group:
-            yield group
-            group = []
-        key = obj_key
-        group.append(i)
-    if group:
-        yield group
 
 
 def difficulty_curve(
@@ -134,16 +132,16 @@ def difficulty_curve(
             values[w] = combined
 
     per_object = tuple(values[floor(t / config.window_seconds)] for t in times)
-    curve = DifficultyCurve(config.window_seconds, tuple(values), per_object)
     return DifficultyCurve(
-        config.window_seconds, curve.values, per_object, overall_difficulty(curve, config)
+        config.window_seconds, tuple(values), per_object, overall_difficulty(values, config)
     )
 
 
-def overall_difficulty(curve: DifficultyCurve, config: StrainConfig = DEFAULT_STRAIN) -> float:
+def overall_difficulty(values, config: StrainConfig = DEFAULT_STRAIN) -> float:
+    """Window values sorted descending, weighted by top_weight ** rank, summed."""
     total = 0.0
     weight = 1.0
-    for value in sorted(curve.values, reverse=True):
+    for value in sorted(values, reverse=True):
         total += value * weight
         weight *= config.top_weight
     return total
@@ -180,9 +178,8 @@ def curve_from_text(text: str, config: StrainConfig = DEFAULT_STRAIN) -> Difficu
         if value < 0:
             raise DataError(f"curve line {lineno}: negative difficulty {value}")
         values.append(value)
-    curve = DifficultyCurve(config.window_seconds, tuple(values))
     return DifficultyCurve(
-        config.window_seconds, curve.values, (), overall_difficulty(curve, config)
+        config.window_seconds, tuple(values), (), overall_difficulty(values, config)
     )
 
 

@@ -14,7 +14,6 @@ against chart difficulty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -30,37 +29,10 @@ from .selector import (
     baseline_random,
     predict_chart,
     predict_flags,
+    score_chart,
     train_selector,
 )
 from .timing import TimeGrid
-
-
-@dataclass(frozen=True)
-class ChartMetrics:
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-
-def score_chart(predicted, truth) -> ChartMetrics:
-    predicted = np.asarray(predicted, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if predicted.shape != truth.shape:
-        raise DataError(
-            f"predicted {predicted.shape} and truth {truth.shape} flags differ in length"
-        )
-    tp = int(np.sum(predicted & truth))
-    fp = int(np.sum(predicted & ~truth))
-    fn = int(np.sum(~predicted & truth))
-    tn = int(np.sum(~predicted & ~truth))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ChartMetrics(precision, recall, f1, tp, fp, fn, tn)
 
 
 @dataclass(frozen=True)
@@ -187,7 +159,3 @@ def difficulty_f1_text(report: ExperimentReport, variant_name: str) -> str:
         raise DataError(f"no difficulty data for variant {variant_name!r}")
     pairs = report.difficulty_f1[variant_name]
     return "".join(f"{difficulty!r}\t{f1!r}\n" for difficulty, f1 in pairs)
-
-
-def save_difficulty_f1(path: str | Path, report: ExperimentReport, variant_name: str) -> None:
-    Path(path).write_text(difficulty_f1_text(report, variant_name), encoding="utf-8")

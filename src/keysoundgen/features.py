@@ -14,7 +14,6 @@ different traversal strategies produce bit-identical vectors.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from math import floor
 from pathlib import Path
@@ -26,6 +25,7 @@ from .audio import CATEGORY_COUNT, InstrumentLabel
 from .bms import Chart
 from .difficulty import DifficultyCurve, curve_value_at
 from .errors import DataError
+from .framing import BinaryFormat
 from .timing import TimeGrid
 
 SUMMARY_WINDOWS = (2.0, 4.0, 8.0, 16.0, 32.0)
@@ -60,36 +60,14 @@ def beat_alignment(beat: float) -> int:
     return floor(sixteenths) % 16
 
 
-def summarize(history, now: float) -> np.ndarray:
-    """270 playability frequencies from scratch (no incremental state).
-
-    Layout is window-major, then class-major, with each class's
-    (playable, non-playable) pair adjacent.
-    """
-    out = np.zeros(SUMMARY_DIM, dtype=np.float64)
-    for w, window in enumerate(SUMMARY_WINDOWS):
-        low = now - window
-        playable = [0] * CATEGORY_COUNT
-        total = [0] * CATEGORY_COUNT
-        for beat, instrument, is_playable in history:
-            if low <= beat < now:
-                total[instrument] += 1
-                if is_playable:
-                    playable[instrument] += 1
-        base = w * CATEGORY_COUNT * 2
-        for i in range(CATEGORY_COUNT):
-            if total[i]:
-                out[base + 2 * i] = playable[i] / total[i]
-                out[base + 2 * i + 1] = (total[i] - playable[i]) / total[i]
-    return out
-
-
 class SummaryAccumulator:
     """Incremental summary over a beat-ordered event stream.
 
     One pointer admits events into the counts as `now` passes them; one
     pointer per window retires events that fall out of [now - W, now).
     Events and queries must both arrive in non-decreasing beat order.
+    Vectors are window-major, then class-major, with each class's
+    (playable, non-playable) shares adjacent.
     """
 
     def __init__(self):
@@ -241,28 +219,18 @@ NO_SUMMARY_MODE = FeatureMode(True, False)
 # Feature dump file: magic, version, row/col counts, f32 little-endian
 # ---------------------------------------------------------------------------
 
-FEATURE_MAGIC = b"KSGF"
-FEATURE_VERSION = 1
+FEATURE_FORMAT = BinaryFormat(b"KSGF", 1, "II", "feature dump")  # rows, columns
 
 
 def save_features(path: str | Path, rows: np.ndarray) -> None:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != FEATURE_DIM:
         raise DataError(f"feature dump needs an (n, {FEATURE_DIM}) matrix, got {rows.shape}")
-    header = FEATURE_MAGIC + struct.pack("<HII", FEATURE_VERSION, rows.shape[0], rows.shape[1])
-    Path(path).write_bytes(header + rows.astype("<f4").tobytes())
+    FEATURE_FORMAT.write(path, rows.shape, [rows])
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 14 or data[:4] != FEATURE_MAGIC:
-        raise DataError(f"{path}: not a feature dump")
-    version, n, cols = struct.unpack("<HII", data[4:14])
-    if version != FEATURE_VERSION:
-        raise DataError(f"{path}: unsupported feature dump version {version}")
+    (n, cols), _, payload = FEATURE_FORMAT.read(path)
     if cols != FEATURE_DIM:
         raise DataError(f"{path}: expected {FEATURE_DIM} columns, got {cols}")
-    if len(data) - 14 != n * cols * 4:
-        raise DataError(f"{path}: truncated feature dump")
-    body = np.frombuffer(data[14:], dtype="<f4")
-    return body.reshape(n, cols).astype(np.float64)
+    return FEATURE_FORMAT.arrays(path, payload, [(n, cols)])[0]

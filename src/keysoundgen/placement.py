@@ -10,30 +10,13 @@ controls, or for samples classified as scratches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .bms import Chart, Lane, with_lanes
-from .difficulty import DEFAULT_STRAIN, StrainConfig
+from .bms import Chart, Lane, instant_groups, with_lanes
+from .difficulty import DEFAULT_STRAIN, ControlStrain, StrainConfig
 from .errors import PlacementOverflowError
 from .timing import TimeGrid
 
 KEY_LANES = (Lane.K1, Lane.K2, Lane.K3, Lane.K4, Lane.K5, Lane.K6, Lane.K7)
 CONTROL_LANES = KEY_LANES + (Lane.TT,)
-
-
-@dataclass
-class PlacementState:
-    """Running per-control strain used to balance assignments."""
-
-    strain: dict[Lane, float] = field(default_factory=lambda: {l: 0.0 for l in CONTROL_LANES})
-    last_use: dict[Lane, float] = field(default_factory=lambda: {l: 0.0 for l in CONTROL_LANES})
-
-    def decayed(self, lane: Lane, t: float, config: StrainConfig) -> float:
-        return self.strain[lane] * config.decay_individual ** (t - self.last_use[lane])
-
-    def press(self, lane: Lane, t: float, config: StrainConfig) -> None:
-        self.strain[lane] = self.decayed(lane, t, config) + config.base_individual
-        self.last_use[lane] = t
 
 
 def assign_controls(
@@ -58,9 +41,9 @@ def assign_controls(
         )
 
     lanes: list[Lane] = [Lane.BG] * len(chart.objects)
-    state = PlacementState()
+    strain = ControlStrain(config)
 
-    for group in _flagged_groups(chart, flags):
+    for group in instant_groups(chart, [i for i, flagged in enumerate(flags) if flagged]):
         first = chart.objects[group[0]]
         if len(group) > len(CONTROL_LANES):
             raise PlacementOverflowError(
@@ -81,28 +64,11 @@ def assign_controls(
                 candidates = [l for l in KEY_LANES if l not in taken]
                 if (allow_turntable or is_scratch) and Lane.TT not in taken:
                     candidates.append(Lane.TT)
-                lane = min(candidates, key=lambda l: (state.decayed(l, t, config), l.order))
+                lane = min(candidates, key=lambda l: (strain.at(l, t), l.order))
             taken.add(lane)
-            state.press(lane, t, config)
+            strain.press(lane, t)
             lanes[i] = lane
     return lanes
-
-
-def _flagged_groups(chart: Chart, flags):
-    """Indices of flagged objects, grouped by exact chart position."""
-    group: list[int] = []
-    key = None
-    for i, (obj, flagged) in enumerate(zip(chart.objects, flags)):
-        if not flagged:
-            continue
-        obj_key = (obj.measure, obj.position)
-        if obj_key != key and group:
-            yield group
-            group = []
-        key = obj_key
-        group.append(i)
-    if group:
-        yield group
 
 
 def apply_selection(

@@ -14,7 +14,6 @@ a (seed, data) pair always reproduces the same model file.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,9 +23,15 @@ from .bms import Chart
 from .difficulty import DifficultyCurve
 from .errors import DataError
 from .features import FULL_MODE, FeatureMode, build_features
+from .framing import BinaryFormat
 from .timing import TimeGrid
 
 LAYER_WIDTHS = (64, 32, 16, 2)
+
+
+def layer_shapes(mode: FeatureMode) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each dense layer for a feature mode."""
+    return list(zip((mode.width,) + LAYER_WIDTHS[:-1], LAYER_WIDTHS))
 
 
 @dataclass(frozen=True)
@@ -56,12 +61,18 @@ class SelectorModel:
         rng = np.random.default_rng(seed)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        fan_in = mode.width
-        for width in LAYER_WIDTHS:
+        for fan_in, width in layer_shapes(mode):
             bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, width)))
             self.biases.append(np.zeros(width))
-            fan_in = width
+
+    @classmethod
+    def from_arrays(cls, mode: FeatureMode, seed: int, weights, biases) -> "SelectorModel":
+        """A model holding the given parameters, with no random initialisation."""
+        model = cls.__new__(cls)
+        model.mode, model.seed = mode, seed
+        model.weights, model.biases = list(weights), list(biases)
+        return model
 
     @property
     def input_width(self) -> int:
@@ -146,15 +157,33 @@ class TrainingReport:
     stopped_early: bool = False
 
 
-def _playable_f1(predicted: np.ndarray, truth: np.ndarray) -> float:
+@dataclass(frozen=True)
+class ChartMetrics:
+    precision: float
+    recall: float
+    f1: float
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+
+
+def score_chart(predicted, truth) -> ChartMetrics:
+    """Confusion counts and playable-class precision/recall/F1 (0, never NaN, when undefined)."""
+    predicted = np.asarray(predicted, dtype=bool)
+    truth = np.asarray(truth, dtype=bool)
+    if predicted.shape != truth.shape:
+        raise DataError(
+            f"predicted {predicted.shape} and truth {truth.shape} flags differ in length"
+        )
     tp = int(np.sum(predicted & truth))
     fp = int(np.sum(predicted & ~truth))
     fn = int(np.sum(~predicted & truth))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2 * precision * recall / (precision + recall)
+    tn = int(np.sum(~predicted & ~truth))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return ChartMetrics(precision, recall, f1, tp, fp, fn, tn)
 
 
 def fit(
@@ -192,7 +221,7 @@ def fit(
 
         val_out = model.forward(val_x)
         val_loss = weighted_mse(val_out, val_flags, config)
-        val_f1 = _playable_f1(val_out[:, 0] > val_out[:, 1], val_flags)
+        val_f1 = score_chart(val_out[:, 0] > val_out[:, 1], val_flags).f1
         report.rows.append(EpochRow(epoch, epoch_loss / len(train_x), val_loss, val_f1))
 
         if val_loss < best - config.tolerance:
@@ -361,62 +390,25 @@ def baseline_all_playable(count: int) -> np.ndarray:
 # Model file: magic, version, feature-mode flags, seed, shapes, f32 weights
 # ---------------------------------------------------------------------------
 
-SELECTOR_MAGIC = b"KSGS"
-SELECTOR_VERSION = 1
+# version, mode flags, seed, layer count; then one (fan_in, fan_out) record per layer
+SELECTOR_FORMAT = BinaryFormat(b"KSGS", 1, "BQI", "selector file", record="II")
 
 
 def save_selector(path: str | Path, model: SelectorModel) -> None:
     flags = (1 if model.mode.use_difficulty else 0) | (2 if model.mode.use_summary else 0)
-    parts = [
-        SELECTOR_MAGIC,
-        struct.pack("<HBQI", SELECTOR_VERSION, flags, model.seed, len(model.weights)),
-    ]
-    for w in model.weights:
-        parts.append(struct.pack("<II", w.shape[0], w.shape[1]))
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.astype("<f4").tobytes())
-        parts.append(b.astype("<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    shapes = [w.shape for w in model.weights]
+    arrays = [a for pair in zip(model.weights, model.biases) for a in pair]
+    SELECTOR_FORMAT.write(path, (flags, model.seed, len(shapes)), arrays, shapes)
 
 
 def load_selector(path: str | Path) -> SelectorModel:
-    data = Path(path).read_bytes()
-    fixed = 4 + struct.calcsize("<HBQI")
-    if len(data) < fixed or data[:4] != SELECTOR_MAGIC:
-        raise DataError(f"{path}: not a selector model file")
-    version, flags, seed, layer_count = struct.unpack("<HBQI", data[4:fixed])
-    if version != SELECTOR_VERSION:
-        raise DataError(f"{path}: unsupported selector version {version}")
+    (flags, seed, _), shapes, payload = SELECTOR_FORMAT.read(path)
     mode = FeatureMode(bool(flags & 1), bool(flags & 2))
-
-    shapes = []
-    offset = fixed
-    for _ in range(layer_count):
-        if offset + 8 > len(data):
-            raise DataError(f"{path}: truncated selector file")
-        shapes.append(struct.unpack("<II", data[offset : offset + 8]))
-        offset += 8
-
-    model = SelectorModel(mode, seed)
-    expected = [(w.shape[0], w.shape[1]) for w in model.weights]
+    expected = layer_shapes(mode)
     if shapes != expected:
         raise DataError(f"{path}: layer shapes {shapes} do not match {expected}")
-
-    if (len(data) - offset) % 4:
-        raise DataError(f"{path}: truncated selector file")
-    raw = np.frombuffer(data, dtype="<f4", offset=offset)
-    cursor = 0
-    for i, (fan_in, fan_out) in enumerate(shapes):
-        w_size, b_size = fan_in * fan_out, fan_out
-        if cursor + w_size + b_size > raw.size:
-            raise DataError(f"{path}: truncated selector file")
-        model.weights[i] = raw[cursor : cursor + w_size].astype(np.float64).reshape(fan_in, fan_out)
-        cursor += w_size
-        model.biases[i] = raw[cursor : cursor + b_size].astype(np.float64).copy()
-        cursor += b_size
-    if cursor != raw.size:
-        raise DataError(f"{path}: trailing bytes in selector file")
-    return model
+    arrays = SELECTOR_FORMAT.arrays(path, payload, [s for w in shapes for s in (w, w[1:])])
+    return SelectorModel.from_arrays(mode, seed, arrays[0::2], arrays[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +420,3 @@ def report_to_text(report: TrainingReport) -> str:
     return "".join(
         f"{r.epoch}\t{r.train_loss!r}\t{r.val_loss!r}\t{r.val_f1!r}\n" for r in report.rows
     )
-
-
-def report_from_text(text: str) -> TrainingReport:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"report line {lineno}: expected 4 tab-separated fields")
-        rows.append(
-            EpochRow(int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]))
-        )
-    return TrainingReport(rows)

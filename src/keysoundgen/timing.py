@@ -65,6 +65,3 @@ class TimeGrid:
 
     def object_times(self, chart: Chart) -> list[float]:
         return [self.seconds(o.measure, o.position) for o in chart.objects]
-
-    def object_beats(self, chart: Chart) -> list[float]:
-        return [self.beats(o.measure, o.position) for o in chart.objects]

@@ -1,5 +1,6 @@
 """Parser and emitter tests, including the exact round-trip property."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -386,3 +387,19 @@ def test_json_roundtrip():
 def test_json_rejects_garbage():
     with pytest.raises(DataError):
         chart_from_json("{}")
+
+
+@pytest.mark.parametrize("bpm", ["nan", "inf", "-inf", "0"])
+def test_json_rejects_non_finite_or_non_positive_bpm(bpm):
+    doc = json.loads(chart_to_json(simple_chart()))
+    doc["bpm_events"][0][2] = float(bpm)
+    with pytest.raises(DataError, match="not finite and positive"):
+        chart_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bpm", ["nan", "inf"])
+def test_parse_rejects_non_finite_bpm(bpm):
+    with pytest.raises(DataError, match="not finite and positive"):
+        parse_bms(f"#BPM {bpm}\n#WAV01 kick.wav\n#00111:01\n")
+    with pytest.raises(DataError, match="not finite and positive"):
+        parse_bms(f"#BPM 120\n#BPM01 {bpm}\n#WAV01 kick.wav\n#00108:01\n#00111:01\n")

@@ -1,5 +1,6 @@
 """End-to-end command line checks, including the exit-code contract."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,25 @@ def test_placement_overflow_exits_three(tmp_path, capsys):
     )
     assert code == 3
     assert "constraint violation" in capsys.readouterr().err
+
+
+def test_non_finite_bpm_exits_two(tmp_path, capsys):
+    for bpm in ("nan", "inf"):
+        source = tmp_path / f"{bpm}.bms"
+        source.write_text(f"#BPM {bpm}\n#WAV01 kick.wav\n#00111:01\n", encoding="utf-8")
+        assert main(["difficulty", str(source)]) == 2
+
+        good = tmp_path / "good.bms"
+        make_source_chart(good)
+        doc = tmp_path / "chart.json"
+        assert main(["parse", str(good), "-o", str(doc)]) == 0
+        chart = json.loads(doc.read_text("utf-8"))
+        chart["bpm_events"][0][2] = float(bpm)
+        doc.write_text(json.dumps(chart), encoding="utf-8")
+        assert main(["emit", str(doc), "-o", str(tmp_path / "out.bms")]) == 2
+    err = capsys.readouterr().err
+    assert "not finite and positive" in err
+    assert "Traceback" not in err
 
 
 # -- parse / emit -------------------------------------------------------------

@@ -223,17 +223,17 @@ def test_background_objects_inherit_window_difficulty():
 # -- overall difficulty -------------------------------------------------------
 
 def test_overall_examples():
-    assert overall_difficulty(DifficultyCurve(0.4, ())) == 0.0
-    assert overall_difficulty(DifficultyCurve(0.4, (10.0,))) == 10.0
-    assert overall_difficulty(DifficultyCurve(0.4, (10.0, 5.0))) == 14.5
-    assert overall_difficulty(DifficultyCurve(0.4, (5.0, 10.0))) == 14.5
+    assert overall_difficulty(()) == 0.0
+    assert overall_difficulty((10.0,)) == 10.0
+    assert overall_difficulty((10.0, 5.0)) == 14.5
+    assert overall_difficulty((5.0, 10.0)) == 14.5
 
 
 def test_overall_matches_power_oracle():
     rng = random.Random(7)
     for _ in range(20):
         values = [rng.uniform(0, 30) for _ in range(rng.randint(0, 40))]
-        got = overall_difficulty(DifficultyCurve(0.4, tuple(values)))
+        got = overall_difficulty(tuple(values))
         expected = sum(v * 0.9**i for i, v in enumerate(sorted(values, reverse=True)))
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 

@@ -84,4 +84,4 @@ def test_object_times_matches_direct_lookup():
     )
     g = TimeGrid(chart)
     assert g.object_times(chart) == [g.seconds(0, Fraction(1, 4)), g.seconds(2, Fraction(0))]
-    assert g.object_beats(chart) == [1.0, 8.0]
+    assert [g.beats(o.measure, o.position) for o in chart.objects] == [1.0, 8.0]
