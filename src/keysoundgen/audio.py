@@ -188,12 +188,12 @@ def write_wave(path: str | Path, waveform: Waveform) -> None:
 # ---------------------------------------------------------------------------
 
 
-def fingerprint(waveform: Waveform, normalize: bool = True) -> Spectrogram:
+def fingerprint(waveform: Waveform) -> Spectrogram:
     """Magnitude spectrogram of the first second: 32 frames x 32 bands.
 
     Short inputs are zero-padded, long ones cropped, so every sample in a
-    run shares one shape.  With normalize the matrix is scaled into
-    [0, 1] by its own peak (an all-zero matrix stays zero).
+    run shares one shape.  The matrix is scaled into [0, 1] by its own
+    peak (an all-zero matrix stays zero).
     """
     if waveform.rate != SAMPLE_RATE:
         raise DataError(f"fingerprint needs a {SAMPLE_RATE} Hz waveform, got {waveform.rate}")
@@ -205,10 +205,9 @@ def fingerprint(waveform: Waveform, normalize: bool = True) -> Spectrogram:
     spectrum = np.abs(np.fft.rfft(frames, n=NFFT, axis=1))[:, : NFFT // 2]
     bands = spectrum.reshape(SPEC_FRAMES, SPEC_BANDS, -1).mean(axis=2)
 
-    if normalize:
-        peak = bands.max()
-        if peak > 0:
-            bands = bands / peak
+    peak = bands.max()
+    if peak > 0:
+        bands = bands / peak
     return Spectrogram(bands)
 
 

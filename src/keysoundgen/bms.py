@@ -26,6 +26,7 @@ from .errors import BmsParseError, DataError
 
 BASE36_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_SAMPLE_ID = 36 * 36 - 1  # "ZZ"
+MAX_MEASURE = 999  # measure numbers are three digits
 
 _RE_MESSAGE = re.compile(r"^(\d{3})([0-9A-Za-z]{2}):(.*)$")
 
@@ -191,8 +192,8 @@ def make_chart(
         frac = Fraction(length)
         if frac <= 0:
             raise DataError(f"measure {measure} has non-positive length {length}")
-        if measure < 0:
-            raise DataError(f"negative measure index {measure}")
+        if not 0 <= measure <= MAX_MEASURE:
+            raise DataError(f"measure length index {measure} outside 0..{MAX_MEASURE}")
         if frac != 1:
             lengths[int(measure)] = frac
 
@@ -200,8 +201,11 @@ def make_chart(
     for event in bpm_events:
         if not (math.isfinite(event.bpm) and event.bpm > 0):
             raise DataError(f"BPM {event.bpm} at measure {event.measure} is not finite and positive")
-        if event.measure < 0 or not 0 <= event.position < 1:
-            raise DataError(f"BPM event at invalid position {event.measure}+{event.position}")
+        if not 0 <= event.measure <= MAX_MEASURE or not 0 <= event.position < 1:
+            raise DataError(
+                f"BPM event at {event.measure}+{event.position} is outside measures "
+                f"0..{MAX_MEASURE} or positions [0, 1)"
+            )
         deduped[(event.measure, event.position)] = BpmEvent(
             int(event.measure), Fraction(event.position), float(event.bpm)
         )
@@ -213,8 +217,8 @@ def make_chart(
 
     seen_playable: set[tuple[int, Fraction, Lane]] = set()
     for obj in objs:
-        if obj.measure < 0:
-            raise DataError(f"object at negative measure {obj.measure}")
+        if not 0 <= obj.measure <= MAX_MEASURE:
+            raise DataError(f"object measure {obj.measure} outside 0..{MAX_MEASURE}")
         if not 0 <= obj.position < 1:
             raise DataError(f"object position {obj.position} outside [0, 1)")
         if obj.playable != obj.lane.playable:

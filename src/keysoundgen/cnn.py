@@ -99,19 +99,24 @@ class ConvClassifier:
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2), cols
 
     @staticmethod
-    def _conv_backward(dout, cols, x_shape, kernels):
+    def _conv_backward(dout, cols, kernels):
+        """Kernel and bias gradients of a convolution."""
+        dflat = dout.transpose(0, 2, 3, 1).reshape(-1, kernels.shape[0])
+        return (dflat.T @ cols).reshape(kernels.shape), dflat.sum(axis=0)
+
+    @staticmethod
+    def _conv_input_grad(dout, x_shape, kernels):
+        """Gradient of a convolution's input; the first layer's input is data and needs none."""
         n, c, h, w = x_shape
         f, _, kh, kw = kernels.shape
         oh, ow = h - kh + 1, w - kw + 1
         dflat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
-        dkernels = (dflat.T @ cols).reshape(kernels.shape)
-        dbias = dflat.sum(axis=0)
         dcols = (dflat @ kernels.reshape(f, -1)).reshape(n, oh, ow, c, kh, kw)
         dx = np.zeros(x_shape)
         for i in range(kh):
             for j in range(kw):
                 dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return dx, dkernels, dbias
+        return dx
 
     @staticmethod
     def _pool_forward(x):
@@ -166,12 +171,12 @@ class ConvClassifier:
         dropped = flat * mask
 
         logits = dropped @ self.weights + self.bias
-        cache = (x, cols1, z1, best1, a1, p1, cols2, z2, best2, a2, p2, mask, dropped)
+        cache = (cols1, z1, best1, a1, p1, cols2, z2, best2, a2, p2, mask, dropped)
         return logits, cache
 
     def loss_and_gradients(self, x, targets, train: bool = True, rng=None):
         logits, cache = self.forward(x, train=train, rng=rng)
-        (x4, cols1, z1, best1, a1, p1, cols2, z2, best2, a2, p2, mask, dropped) = cache
+        (cols1, z1, best1, a1, p1, cols2, z2, best2, a2, p2, mask, dropped) = cache
         n = logits.shape[0]
         targets = np.asarray(targets, dtype=np.intp)
 
@@ -191,10 +196,11 @@ class ConvClassifier:
         dp2 = dflat.reshape(p2.shape)
         da2 = self._pool_backward(dp2, best2, a2.shape)
         dz2 = da2 * (z2 > 0.0)
-        dp1, dkernels2, dbias2 = self._conv_backward(dz2, cols2, p1.shape, self.kernels2)
+        dkernels2, dbias2 = self._conv_backward(dz2, cols2, self.kernels2)
+        dp1 = self._conv_input_grad(dz2, p1.shape, self.kernels2)
         da1 = self._pool_backward(dp1, best1, a1.shape)
         dz1 = da1 * (z1 > 0.0)
-        _, dkernels1, dbias1 = self._conv_backward(dz1, cols1, x4.shape, self.kernels1)
+        dkernels1, dbias1 = self._conv_backward(dz1, cols1, self.kernels1)
 
         grads = {
             "kernels1": dkernels1,

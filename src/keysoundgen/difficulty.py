@@ -16,7 +16,7 @@ and every object contributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 from .bms import Chart, instant_groups
 from .errors import DataError
@@ -34,8 +34,15 @@ class StrainConfig:
     top_weight: float = 0.9
     window_seconds: float = 0.4
 
+    def __post_init__(self):
+        if not (isfinite(self.window_seconds) and self.window_seconds > 0):
+            raise DataError(
+                f"strain window_seconds must be finite and positive, got {self.window_seconds}"
+            )
+
 
 DEFAULT_STRAIN = StrainConfig()
+MAX_CURVE_WINDOWS = 1_000_000  # 4.6 days of 0.4 s windows
 
 
 @dataclass(frozen=True)
@@ -49,11 +56,10 @@ class ObjectStrain:
 
 @dataclass(frozen=True)
 class DifficultyCurve:
-    """Windowed difficulty values plus the per-object assignment."""
+    """Windowed difficulty values and their weighted overall sum."""
 
     window_seconds: float
     values: tuple[float, ...]
-    object_difficulty: tuple[float, ...] = ()
     overall: float = 0.0
 
 
@@ -99,7 +105,7 @@ def compute_strain(
     last_overall_time = 0.0
 
     for group in instant_groups(chart, contributing):
-        t = grid.seconds(chart.objects[group[0]].measure, chart.objects[group[0]].position)
+        t = grid.object_seconds[group[0]]
         overall = overall * config.decay_overall ** (t - last_overall_time)
         overall += config.base_overall * len(group)
         last_overall_time = t
@@ -118,11 +124,16 @@ def difficulty_curve(
     if strains is None:
         strains = compute_strain(chart, grid, config)
     if not chart.objects:
-        return DifficultyCurve(config.window_seconds, (), (), 0.0)
+        return DifficultyCurve(config.window_seconds, (), 0.0)
 
-    times = grid.object_times(chart)
-    count = floor(max(times) / config.window_seconds) + 1
-    values = [0.0] * count
+    times = grid.object_seconds
+    last = max(times) / config.window_seconds
+    if last >= MAX_CURVE_WINDOWS:
+        raise DataError(
+            f"chart lasts {max(times):.6g} s, more than {MAX_CURVE_WINDOWS} windows of "
+            f"{config.window_seconds} s; check its BPM values"
+        )
+    values = [0.0] * (floor(last) + 1)
     for t, strain in zip(times, strains):
         if strain is None:
             continue
@@ -130,11 +141,7 @@ def difficulty_curve(
         combined = strain.combined(config)
         if combined > values[w]:
             values[w] = combined
-
-    per_object = tuple(values[floor(t / config.window_seconds)] for t in times)
-    return DifficultyCurve(
-        config.window_seconds, tuple(values), per_object, overall_difficulty(values, config)
-    )
+    return DifficultyCurve(config.window_seconds, tuple(values), overall_difficulty(values, config))
 
 
 def overall_difficulty(values, config: StrainConfig = DEFAULT_STRAIN) -> float:
@@ -178,9 +185,7 @@ def curve_from_text(text: str, config: StrainConfig = DEFAULT_STRAIN) -> Difficu
         if value < 0:
             raise DataError(f"curve line {lineno}: negative difficulty {value}")
         values.append(value)
-    return DifficultyCurve(
-        config.window_seconds, tuple(values), (), overall_difficulty(values, config)
-    )
+    return DifficultyCurve(config.window_seconds, tuple(values), overall_difficulty(values, config))
 
 
 def curve_value_at(curve: DifficultyCurve, seconds: float) -> float:

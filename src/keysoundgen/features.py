@@ -155,10 +155,9 @@ def build_features(
     accumulator = SummaryAccumulator()
 
     for i, obj in enumerate(chart.objects):
-        beat = grid.beats(obj.measure, obj.position)
-        seconds = grid.seconds_at_beat(beat)
+        beat = grid.object_beats[i]
         row = rows[i]
-        row[COL_DIFFICULTY] = curve_value_at(curve, seconds)
+        row[COL_DIFFICULTY] = curve_value_at(curve, grid.object_seconds[i])
         row[COL_ONEHOT + labels[i].index] = 1.0
         row[COL_ALIGNMENT] = float(beat_alignment(beat))
         if summary_source != "none":

@@ -51,7 +51,7 @@ def assign_controls(
                 f"position {first.position}, but only {len(CONTROL_LANES)} controls exist; "
                 f"lower the difficulty curve or re-run selection with fewer playables"
             )
-        t = grid.seconds(first.measure, first.position)
+        t = grid.object_seconds[group[0]]
         taken: set[Lane] = set()
         allow_turntable = len(group) == len(CONTROL_LANES)
         for i in sorted(group, key=lambda j: (chart.objects[j].sample.id, j)):

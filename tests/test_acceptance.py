@@ -244,8 +244,7 @@ def strain_oracle(chart, config):
     control_times = {}
     group_history = []
     for _, members in groups:
-        obj = chart.objects[members[0]]
-        t = grid.seconds(obj.measure, obj.position)
+        t = grid.object_seconds[members[0]]
         group_history.append((t, len(members)))
         overall = sum(
             config.base_overall * k * config.decay_overall ** (t - s)

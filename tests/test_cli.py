@@ -112,6 +112,55 @@ def test_non_finite_bpm_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unbounded_time_exits_two(tmp_path, capsys):
+    # 1e-300 BPM puts measure 1 about 1e302 s in: too many curve windows.
+    # 1e-310 BPM puts it at infinity: no finite time.
+    for bpm, message in (("1e-300", "windows of"), ("1e-310", "no finite time")):
+        source = tmp_path / "slow.bms"
+        source.write_text(f"#BPM {bpm}\n#WAV01 kick.wav\n#00111:01\n", encoding="utf-8")
+        assert main(["difficulty", str(source)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_bad_strain_window_exits_two(tmp_path, capsys):
+    source = tmp_path / "in.bms"
+    make_source_chart(source)
+    for value in ("0", "-1", "nan"):
+        config = tmp_path / "window.cfg"
+        config.write_text(f"strain.window_seconds = {value}\n", encoding="utf-8")
+        assert main(["--config", str(config), "difficulty", str(source)]) == 2
+        assert "window_seconds must be finite and positive" in capsys.readouterr().err
+
+
+def test_measure_past_three_digits_exits_two(tmp_path, capsys):
+    good = tmp_path / "good.bms"
+    make_source_chart(good)
+    doc = tmp_path / "chart.json"
+    assert main(["parse", str(good), "-o", str(doc)]) == 0
+    original = json.loads(doc.read_text("utf-8"))
+
+    last = json.loads(json.dumps(original))
+    last["objects"][-1]["measure"] = 999
+    doc.write_text(json.dumps(last), encoding="utf-8")
+    assert main(["emit", str(doc), "-o", str(tmp_path / "last.bms")]) == 0
+    assert load_bms(tmp_path / "last.bms").objects[-1].measure == 999
+
+    # BMS writes measures as three digits, so 1000 could not be read back
+    for where in ("objects", "bpm_events", "measure_lengths"):
+        chart = json.loads(json.dumps(original))
+        if where == "objects":
+            chart["objects"][-1]["measure"] = 1000
+        elif where == "bpm_events":
+            chart["bpm_events"].append([1000, "0", 150.0])
+        else:
+            chart["measure_lengths"] = {"1000": "3/4"}
+        doc.write_text(json.dumps(chart), encoding="utf-8")
+        assert main(["emit", str(doc), "-o", str(tmp_path / "out.bms")]) == 2
+        assert "0..999" in capsys.readouterr().err
+
+
 # -- parse / emit -------------------------------------------------------------
 
 def test_parse_emit_roundtrip(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from keysoundgen.bms import BpmEvent, Lane, SampleRef, TimedObject, make_chart
 from keysoundgen.corpus import random_chart, random_score
+from keysoundgen import difficulty
 from keysoundgen.difficulty import (
     DifficultyCurve,
     StrainConfig,
@@ -61,8 +62,7 @@ def oracle_strains(chart, config=CFG):
     control_times = {}
     group_history = []  # (time, simultaneous count)
     for _, members in groups:
-        obj = chart.objects[members[0]]
-        t = grid.seconds(obj.measure, obj.position)
+        t = grid.object_seconds[members[0]]
         group_history.append((t, len(members)))
         overall = sum(
             config.base_overall * k * config.decay_overall ** (t - s)
@@ -174,7 +174,6 @@ def test_curve_empty_chart():
     chart = make_chart([], {}, [BpmEvent(0, Fraction(0), 120.0)])
     curve = chart_difficulty(chart)
     assert curve.values == ()
-    assert curve.object_difficulty == ()
     assert curve.overall == 0.0
 
 
@@ -184,9 +183,11 @@ def test_curve_window_max_shared_by_all_objects_in_window():
         [(0, 0, Lane.K1), (0, Fraction(1, 16), Lane.K2), (0, Fraction(1, 8), Lane.K3)]
     )
     curve = chart_difficulty(chart)
-    assert len(set(curve.object_difficulty)) == 1
-    strains = compute_strain(chart, TimeGrid(chart))
-    assert curve.object_difficulty[0] == max(s.combined() for s in strains)
+    grid = TimeGrid(chart)
+    per_object = [curve_value_at(curve, t) for t in grid.object_seconds]
+    assert len(set(per_object)) == 1
+    strains = compute_strain(chart, grid)
+    assert per_object[0] == max(s.combined() for s in strains)
 
 
 def test_curve_empty_windows_are_zero():
@@ -203,10 +204,26 @@ def test_object_exactly_on_window_boundary_goes_right():
     # 150 bpm makes one beat exactly 0.4 s
     chart = chart_from_notes([(0, Fraction(1, 4), Lane.K1)], bpm=150.0)
     grid = TimeGrid(chart)
-    assert grid.seconds(0, Fraction(1, 4)) == 0.4
+    assert grid.object_seconds[0] == 0.4
     curve = chart_difficulty(chart)
     assert curve.values[0] == 0.0
     assert curve.values[1] > 0.0
+
+
+def test_curve_window_count_has_a_ceiling(monkeypatch):
+    # 120 bpm: the note in measure 1 sits at 2.0 s, window index 5
+    chart = chart_from_notes([(0, 0, Lane.K1), (1, 0, Lane.K1)], bpm=120.0)
+    monkeypatch.setattr(difficulty, "MAX_CURVE_WINDOWS", 6)
+    assert len(chart_difficulty(chart).values) == 6
+    monkeypatch.setattr(difficulty, "MAX_CURVE_WINDOWS", 5)
+    with pytest.raises(DataError, match="more than 5 windows"):
+        chart_difficulty(chart)
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0, float("nan"), float("inf")])
+def test_window_seconds_must_be_finite_and_positive(window):
+    with pytest.raises(DataError, match="window_seconds"):
+        StrainConfig(window_seconds=window)
 
 
 def test_background_objects_inherit_window_difficulty():
@@ -217,7 +234,8 @@ def test_background_objects_inherit_window_difficulty():
     ]
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 120.0)])
     curve = chart_difficulty(chart)
-    assert curve.object_difficulty[1] == curve.object_difficulty[0] > 0.0
+    first, second = (curve_value_at(curve, t) for t in TimeGrid(chart).object_seconds)
+    assert second == first > 0.0
 
 
 # -- overall difficulty -------------------------------------------------------

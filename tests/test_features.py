@@ -227,8 +227,7 @@ def test_feature_difficulty_column_tracks_curve():
     rows = build_features(chart, grid, curve, label_all(chart))
     from keysoundgen.difficulty import curve_value_at
 
-    for row, obj in zip(rows, chart.objects):
-        t = grid.seconds(obj.measure, obj.position)
+    for row, t in zip(rows, grid.object_seconds):
         assert row[COL_DIFFICULTY] == curve_value_at(curve, t)
 
 
