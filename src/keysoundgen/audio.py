@@ -26,6 +26,7 @@ from .errors import DataError
 
 SAMPLE_RATE = 16000
 CLIP_SAMPLES = 16000  # 1.0 s analysis window
+MAX_RESAMPLED = 600 * SAMPLE_RATE  # ten minutes of 16 kHz audio
 FRAME = 500
 NFFT = 512
 SPEC_FRAMES = 32
@@ -163,6 +164,11 @@ def load_wave(path: str | Path) -> Waveform:
         if rate <= 0:
             raise DataError(f"{path}: invalid sample rate {rate}")
         count = max(1, round(len(data) * SAMPLE_RATE / rate))
+        if count > MAX_RESAMPLED:
+            raise DataError(
+                f"{path}: resampling {len(data)} frames at {rate} Hz gives {count} samples, "
+                f"more than {MAX_RESAMPLED}"
+            )
         positions = np.arange(count) * (rate / SAMPLE_RATE)
         data = np.interp(positions, np.arange(len(data)), data)
 

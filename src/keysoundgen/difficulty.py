@@ -39,6 +39,9 @@ class StrainConfig:
             raise DataError(
                 f"strain window_seconds must be finite and positive, got {self.window_seconds}"
             )
+        for name in ("decay_individual", "decay_overall"):
+            if not 0 < getattr(self, name) <= 1:
+                raise DataError(f"strain {name} must be in (0, 1], got {getattr(self, name)}")
 
 
 DEFAULT_STRAIN = StrainConfig()

@@ -8,16 +8,18 @@ over the trailing 2, 4, 8, 16 and 32 beats.
 Summary windows are half-open [now - W, now): an object never summarizes
 itself or anything simultaneous with it, which keeps the feature strictly
 causal and lets generated charts stream their own predictions back in
-(self-summary mode).  Counts are kept as integers and divided once, so
-different traversal strategies produce bit-identical vectors.
+(self-summary mode).  Counts are cumulative integers, differenced per
+window and divided once, so the truth and self modes produce bit-identical
+vectors from the same flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import floor
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .framing import BinaryFormat
 from .timing import TimeGrid
 
 SUMMARY_WINDOWS = (2.0, 4.0, 8.0, 16.0, 32.0)
+WINDOW_EDGES = np.asarray((0.0,) + SUMMARY_WINDOWS)
 SUMMARY_DIM = len(SUMMARY_WINDOWS) * CATEGORY_COUNT * 2  # 270
 FEATURE_DIM = 1 + CATEGORY_COUNT + 1 + SUMMARY_DIM  # 299
 
@@ -38,12 +41,6 @@ COL_ALIGNMENT = 1 + CATEGORY_COUNT
 COL_SUMMARY = COL_ALIGNMENT + 1
 
 ALIGNMENT_SNAP = 1e-6
-
-
-class HistoryEvent(NamedTuple):
-    beat: float
-    instrument: int
-    playable: bool
 
 
 def beat_alignment(beat: float) -> int:
@@ -60,64 +57,50 @@ def beat_alignment(beat: float) -> int:
     return floor(sixteenths) % 16
 
 
-class SummaryAccumulator:
-    """Incremental summary over a beat-ordered event stream.
+class SummaryCounts:
+    """Playable shares per instrument class over trailing beat windows.
 
-    One pointer admits events into the counts as `now` passes them; one
-    pointer per window retires events that fall out of [now - W, now).
-    Events and queries must both arrive in non-decreasing beat order.
-    Vectors are window-major, then class-major, with each class's
-    (playable, non-playable) shares adjacent.
+    `counts[i, c]` holds how many of objects 0..i-1 of class c were
+    (playable, non-playable): cumulative with a leading zero row, so any
+    index range [a, b) counts as row b minus row a.  `record` fills the
+    rows in stream order; `vectors_at` finds each window [now - W, now)
+    with `searchsorted` on the beats.  Vectors are window-major, then
+    class-major, with each class's (playable, non-playable) shares adjacent.
     """
 
-    def __init__(self):
-        self._events: list[HistoryEvent] = []
-        self._include = 0
-        self._expire = [0] * len(SUMMARY_WINDOWS)
-        self._playable = [[0] * CATEGORY_COUNT for _ in SUMMARY_WINDOWS]
-        self._total = [[0] * CATEGORY_COUNT for _ in SUMMARY_WINDOWS]
-        self._last_now: float | None = None
+    def __init__(self, beats, instruments):
+        self.beats = np.asarray(beats, dtype=np.float64)
+        self.instruments = np.asarray(instruments, dtype=np.intp)
+        if np.any(self.beats[1:] < self.beats[:-1]):
+            raise DataError("summary events must arrive in beat order")
+        if np.any((self.instruments < 0) | (self.instruments >= CATEGORY_COUNT)):
+            raise DataError(f"instrument index outside 0..{CATEGORY_COUNT - 1}")
+        self.counts = np.zeros((len(self.beats) + 1, CATEGORY_COUNT, 2), dtype=np.int32)
+        self.recorded = 0
 
-    def push(self, beat: float, instrument: int, playable: bool) -> None:
-        if self._events and beat < self._events[-1].beat:
-            raise DataError(
-                f"summary events must arrive in beat order ({beat} after {self._events[-1].beat})"
-            )
-        if not 0 <= instrument < CATEGORY_COUNT:
-            raise DataError(f"instrument index {instrument} outside 0..{CATEGORY_COUNT - 1}")
-        self._events.append(HistoryEvent(beat, instrument, playable))
+    def record(self, start: int, flags) -> None:
+        """Playability flags of objects start, start + 1, ... in stream order."""
+        flags = np.asarray(flags, dtype=bool).reshape(-1)
+        end = start + len(flags)
+        if start != self.recorded or end > len(self.beats):
+            raise DataError(f"flags for objects {start}..{end - 1} recorded out of order")
+        step = np.zeros((len(flags) + 1, CATEGORY_COUNT, 2), dtype=np.int32)
+        step[np.arange(1, len(flags) + 1), self.instruments[start:end], (~flags).astype(np.intp)] = 1
+        np.cumsum(step, axis=0, out=step)
+        np.add(self.counts[start], step[1:], out=self.counts[start + 1 : end + 1])
+        self.recorded = end
 
-    def vector_at(self, now: float) -> np.ndarray:
-        if self._last_now is not None and now < self._last_now:
-            raise DataError(
-                f"summary queries must arrive in beat order ({now} after {self._last_now})"
-            )
-        self._last_now = now
-        events = self._events
-        while self._include < len(events) and events[self._include].beat < now:
-            event = events[self._include]
-            for w in range(len(SUMMARY_WINDOWS)):
-                self._total[w][event.instrument] += 1
-                if event.playable:
-                    self._playable[w][event.instrument] += 1
-            self._include += 1
-
-        out = np.zeros(SUMMARY_DIM, dtype=np.float64)
-        for w, window in enumerate(SUMMARY_WINDOWS):
-            low = now - window
-            while self._expire[w] < self._include and events[self._expire[w]].beat < low:
-                event = events[self._expire[w]]
-                self._total[w][event.instrument] -= 1
-                if event.playable:
-                    self._playable[w][event.instrument] -= 1
-                self._expire[w] += 1
-            base = w * CATEGORY_COUNT * 2
-            playable, total = self._playable[w], self._total[w]
-            for i in range(CATEGORY_COUNT):
-                if total[i]:
-                    out[base + 2 * i] = playable[i] / total[i]
-                    out[base + 2 * i + 1] = (total[i] - playable[i]) / total[i]
-        return out
+    def vectors_at(self, now) -> np.ndarray:
+        """(m, 270) summary rows for m query beats (a scalar gives one row)."""
+        now = np.asarray(now, dtype=np.float64).reshape(-1, 1)
+        edges = self.beats.searchsorted(now - WINDOW_EDGES)  # [now, now - 2, ..., now - 32]
+        if (edges[:, 0] > self.recorded).any():
+            raise DataError(f"summary query reaches past the {self.recorded} recorded flags")
+        ends = self.counts[edges]
+        counts = ends[:, :1] - ends[:, 1:]
+        # an empty window divides its zero counts by one
+        shares = counts / np.maximum(counts[..., :1] + counts[..., 1:], 1)
+        return shares.reshape(len(now), SUMMARY_DIM)
 
 
 SUMMARY_SOURCES = ("truth", "self", "none")
@@ -129,15 +112,17 @@ def build_features(
     curve: DifficultyCurve,
     labels,
     summary_source: str = "truth",
-    predictor: Callable[[np.ndarray, int], bool] | None = None,
+    predictor: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Feature matrix aligned with chart.objects, shape (n, 299).
 
     labels holds one InstrumentLabel per object.  summary_source picks
     where the summary playability stream comes from: "truth" reads the
-    chart's authored flags, "self" feeds each object's predicted flag
-    back in (predictor(row, index) -> bool, required), and "none" zeroes
-    the whole summary block.
+    chart's authored flags, "self" feeds predicted flags back in, and
+    "none" zeroes the whole summary block.  Self mode steps one instant
+    (run of equal beats) at a time: every object of an instant sees the
+    same summary, so predictor(rows, start) -> (k,) bool receives the k
+    finished rows of objects start..start+k-1 at once (required).
     """
     if summary_source not in SUMMARY_SOURCES:
         raise DataError(f"summary_source must be one of {SUMMARY_SOURCES}, got {summary_source!r}")
@@ -152,21 +137,24 @@ def build_features(
             raise DataError(f"object {i} has no instrument label")
 
     rows = np.zeros((len(chart.objects), FEATURE_DIM), dtype=np.float64)
-    accumulator = SummaryAccumulator()
-
-    for i, obj in enumerate(chart.objects):
-        beat = grid.object_beats[i]
+    for i, beat in enumerate(grid.object_beats):
         row = rows[i]
         row[COL_DIFFICULTY] = curve_value_at(curve, grid.object_seconds[i])
         row[COL_ONEHOT + labels[i].index] = 1.0
         row[COL_ALIGNMENT] = float(beat_alignment(beat))
-        if summary_source != "none":
-            row[COL_SUMMARY:] = accumulator.vector_at(beat)
+    if summary_source == "none":
+        return rows
 
-        if summary_source == "truth":
-            accumulator.push(beat, labels[i].index, obj.playable)
-        elif summary_source == "self":
-            accumulator.push(beat, labels[i].index, bool(predictor(row.copy(), i)))
+    counts = SummaryCounts(grid.object_beats, [label.index for label in labels])
+    if summary_source == "truth":
+        counts.record(0, [obj.playable for obj in chart.objects])
+        rows[:, COL_SUMMARY:] = counts.vectors_at(counts.beats)
+        return rows
+    # an instant starts wherever the beat changes
+    starts = np.flatnonzero(np.diff(counts.beats, prepend=-np.inf)).tolist()
+    for start, end in zip(starts, starts[1:] + [len(rows)]):
+        rows[start:end, COL_SUMMARY:] = counts.vectors_at(counts.beats[start : start + 1])
+        counts.record(start, predictor(rows[start:end].copy(), start))
     return rows
 
 
@@ -192,7 +180,8 @@ class FeatureMode:
             + (SUMMARY_DIM if self.use_summary else 0)
         )
 
-    def column_indices(self) -> np.ndarray:
+    @cached_property
+    def columns(self) -> np.ndarray:
         cols: list[int] = []
         if self.use_difficulty:
             cols.append(COL_DIFFICULTY)
@@ -202,11 +191,14 @@ class FeatureMode:
         return np.asarray(cols, dtype=np.intp)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
+        """This mode's columns as row-major rows; full-width rows come back as they are."""
         if rows.ndim == 1:
             rows = rows[np.newaxis, :]
         if rows.shape[1] != FEATURE_DIM:
             raise DataError(f"expected {FEATURE_DIM}-wide feature rows, got {rows.shape[1]}")
-        return rows[:, self.column_indices()]
+        if self.width == FEATURE_DIM:
+            return rows
+        return rows.take(self.columns, axis=1)
 
 
 FULL_MODE = FeatureMode(True, True)

@@ -316,8 +316,10 @@ def train_selector(
         report = fit(model, train_x, train_y, val_x, val_y, config)
         return model, report
 
-    shift = train_x.mean(axis=0)
-    scale = train_x.std(axis=0)
+    # one column at a time, so each statistic is a pairwise sum over its
+    # column and does not depend on the matrix's memory layout
+    shift = np.array([column.mean() for column in train_x.T])
+    scale = np.array([column.std() for column in train_x.T])
     scale[scale < 1e-9] = 1.0
     report = fit(
         model,
@@ -354,7 +356,7 @@ def predict_chart(
     """Per-object playability for one chart.
 
     summary_source "truth" reads authored flags into the summary stream,
-    "self" feeds the model's own prior predictions back in (sequential),
+    "self" feeds the model's own earlier decisions back in, one instant at a time,
     and "none" zeroes the summary block.  Streaming modes require a model
     that actually consumes summary features.
     """
@@ -366,10 +368,9 @@ def predict_chart(
     if summary_source == "self":
         flags = np.zeros(len(chart.objects), dtype=bool)
 
-        def feedback(row: np.ndarray, index: int) -> bool:
-            out = model.forward(model.mode.apply(row))
-            flags[index] = out[0, 0] > out[0, 1]
-            return bool(flags[index])
+        def feedback(rows: np.ndarray, start: int) -> np.ndarray:
+            flags[start : start + len(rows)] = predict_flags(model, rows)
+            return flags[start : start + len(rows)]
 
         build_features(chart, grid, curve, labels, "self", feedback)
         return flags

@@ -10,6 +10,7 @@ its timing; conftest replays the lines after the run summary.
 import random
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ from keysoundgen.evaluate import DEFAULT_VARIANTS, run_experiment, score_chart
 from keysoundgen.features import (
     SUMMARY_WINDOWS,
     FeatureMode,
-    HistoryEvent,
-    SummaryAccumulator,
+    SummaryCounts,
     build_features,
 )
 from keysoundgen.placement import apply_selection
@@ -91,6 +91,12 @@ def test_1_chart_round_trip():
 
 
 # -- 2: feature vector contract -------------------------------------------------
+
+class HistoryEvent(NamedTuple):
+    beat: float
+    instrument: int
+    playable: bool
+
 
 def counting_oracle(history, now):
     """Literal tally of playable shares per (window, instrument)."""
@@ -136,10 +142,9 @@ def test_2_feature_contract():
             HistoryEvent(beat, rng.randrange(27), rng.random() < 0.4) for beat in events
         ]
         now = rng.uniform(0.0, 48.0)
-        accumulator = SummaryAccumulator()
-        for event in history:
-            accumulator.push(event.beat, event.instrument, event.playable)
-        if accumulator.vector_at(now).tolist() != counting_oracle(history, now):
+        counts = SummaryCounts(events, [event.instrument for event in history])
+        counts.record(0, [event.playable for event in history])
+        if counts.vectors_at(now)[0].tolist() != counting_oracle(history, now):
             probe_misses += 1
 
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import wave
 import numpy as np
 import pytest
 
+from keysoundgen import audio
 from keysoundgen.audio import (
     CATEGORY_COUNT,
     CLIP_SAMPLES,
@@ -54,6 +55,32 @@ def test_load_wave_resamples_32k_to_16k(tmp_path):
     assert loaded.rate == SAMPLE_RATE
     assert len(loaded.samples) == len(samples) // 2
     assert np.allclose(loaded.samples, sine(440.0, 0.5) / 0.8, atol=0.02)
+
+
+def refuse_allocation(*args, **kwargs):
+    raise AssertionError("load_wave built the resampled signal")
+
+
+def test_load_wave_bounds_the_resampled_length_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "hi.wav"
+    write_wave(path, Waveform(sine(440.0, 0.5, rate=32000), rate=32000))
+    monkeypatch.setattr(audio, "MAX_RESAMPLED", 8000)
+    assert len(load_wave(path).samples) == 8000
+    monkeypatch.setattr(audio, "MAX_RESAMPLED", 7999)
+    monkeypatch.setattr(audio.np, "arange", refuse_allocation)
+    monkeypatch.setattr(audio.np, "interp", refuse_allocation)
+    with pytest.raises(DataError, match="more than 7999"):
+        load_wave(path)
+
+
+def test_load_wave_rejects_a_one_hertz_header(tmp_path, monkeypatch):
+    # 1000 frames at 1 Hz would resample to 16 million samples
+    path = tmp_path / "slow.wav"
+    write_wave(path, Waveform(sine(0.1, 1000.0, rate=1), rate=1))
+    monkeypatch.setattr(audio.np, "arange", refuse_allocation)
+    monkeypatch.setattr(audio.np, "interp", refuse_allocation)
+    with pytest.raises(DataError, match="1 Hz"):
+        load_wave(path)
 
 
 def test_load_wave_mixes_stereo_down(tmp_path):

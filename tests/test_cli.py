@@ -134,6 +134,19 @@ def test_bad_strain_window_exits_two(tmp_path, capsys):
         assert "window_seconds must be finite and positive" in capsys.readouterr().err
 
 
+def test_bad_strain_decay_exits_two(tmp_path, capsys):
+    source = tmp_path / "in.bms"
+    make_source_chart(source)
+    for name in ("decay_individual", "decay_overall"):
+        for value in ("1e300", "-0.5", "nan", "0"):
+            config = tmp_path / "decay.cfg"
+            config.write_text(f"strain.{name} = {value}\n", encoding="utf-8")
+            assert main(["--config", str(config), "difficulty", str(source)]) == 2
+            err = capsys.readouterr().err
+            assert f"{name} must be in (0, 1]" in err
+            assert "Traceback" not in err
+
+
 def test_measure_past_three_digits_exits_two(tmp_path, capsys):
     good = tmp_path / "good.bms"
     make_source_chart(good)

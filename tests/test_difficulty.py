@@ -226,6 +226,13 @@ def test_window_seconds_must_be_finite_and_positive(window):
         StrainConfig(window_seconds=window)
 
 
+@pytest.mark.parametrize("decay", [0.0, -0.5, 1.5, 1e300, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["decay_individual", "decay_overall"])
+def test_decays_must_lie_in_zero_one(name, decay):
+    with pytest.raises(DataError, match=name):
+        StrainConfig(**{name: decay})
+
+
 def test_background_objects_inherit_window_difficulty():
     table = {1: "a.wav", 2: "b.wav"}
     objects = [

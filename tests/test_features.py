@@ -2,13 +2,16 @@
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from keysoundgen.audio import load_taxonomy
 from keysoundgen.bms import BpmEvent, Lane, SampleRef, TimedObject, make_chart
-from keysoundgen.difficulty import chart_difficulty
+from keysoundgen.corpus import CorpusConfig, build_corpus, random_chart
+from keysoundgen.dataset import resolve_labels
+from keysoundgen.difficulty import chart_difficulty, difficulty_curve
 from keysoundgen.errors import DataError
 from keysoundgen.features import (
     ALIGNMENT_SNAP,
@@ -23,8 +26,7 @@ from keysoundgen.features import (
     SUMMARY_DIM,
     SUMMARY_WINDOWS,
     FeatureMode,
-    HistoryEvent,
-    SummaryAccumulator,
+    SummaryCounts,
     beat_alignment,
     build_features,
     load_features,
@@ -34,6 +36,12 @@ from keysoundgen.timing import TimeGrid
 
 TAXONOMY = load_taxonomy()
 CLASSES = 27
+
+
+class HistoryEvent(NamedTuple):
+    beat: float
+    instrument: int
+    playable: bool
 
 
 def oracle_summary(history, now):
@@ -56,11 +64,10 @@ def oracle_summary(history, now):
 
 
 def summarize(history, now):
-    """The production summary: push the whole history, then read the vector at now."""
-    acc = SummaryAccumulator()
-    for event in history:
-        acc.push(*event)
-    return acc.vector_at(now)
+    """The production summary: record the whole history, then read the vector at now."""
+    counts = SummaryCounts([e.beat for e in history], [e.instrument for e in history])
+    counts.record(0, [e.playable for e in history])
+    return counts.vectors_at(now)[0]
 
 
 def random_history(rng, count, span=40.0):
@@ -154,28 +161,45 @@ def test_accumulator_matches_batch_summary():
     rng = random.Random(77)
     for _ in range(20):
         history = random_history(rng, rng.randint(0, 50))
-        acc = SummaryAccumulator()
+        counts = SummaryCounts([e.beat for e in history], [e.instrument for e in history])
         cursor = 0
         for probe in sorted(rng.uniform(0.0, 45.0) for _ in range(8)):
             while cursor < len(history) and history[cursor].beat < probe:
-                event = history[cursor]
-                acc.push(event.beat, event.instrument, event.playable)
+                counts.record(cursor, [history[cursor].playable])
                 cursor += 1
-            assert acc.vector_at(probe).tolist() == oracle_summary(history[:cursor], probe)
+            assert counts.vectors_at(probe)[0].tolist() == oracle_summary(history[:cursor], probe)
 
 
 def test_accumulator_rejects_backward_pushes():
-    acc = SummaryAccumulator()
-    acc.push(5.0, 0, True)
-    with pytest.raises(DataError):
-        acc.push(4.0, 0, True)
+    with pytest.raises(DataError, match="beat order"):
+        SummaryCounts([5.0, 4.0], [0, 0])
 
 
-def test_accumulator_rejects_backward_queries():
-    acc = SummaryAccumulator()
-    acc.vector_at(5.0)
-    with pytest.raises(DataError):
-        acc.vector_at(4.0)
+def test_counts_reject_instruments_outside_the_taxonomy():
+    for instrument in (-1, CLASSES):
+        with pytest.raises(DataError, match="instrument index"):
+            SummaryCounts([1.0, 2.0], [0, instrument])
+
+
+def test_counts_reject_flags_out_of_order():
+    counts = SummaryCounts([1.0, 2.0, 3.0], [0, 1, 2])
+    with pytest.raises(DataError, match="out of order"):
+        counts.record(1, [True])  # object 0 not recorded yet
+    counts.record(0, [True, False])
+    with pytest.raises(DataError, match="out of order"):
+        counts.record(0, [True])  # recorded twice
+    with pytest.raises(DataError, match="out of order"):
+        counts.record(2, [True, True])  # past the last object
+
+
+def test_counts_reject_queries_past_recorded_flags():
+    counts = SummaryCounts([1.0, 2.0, 2.0, 3.0], [0, 0, 0, 0])
+    counts.record(0, [True])
+    assert counts.vectors_at(2.0)[0].any()  # sees object 0 only
+    with pytest.raises(DataError, match="recorded"):
+        counts.vectors_at(2.5)  # would read objects 1 and 2
+    counts.record(1, [False, True])
+    assert counts.vectors_at(2.5)[0][0] == 2 / 3
 
 
 # -- per-chart feature rows ---------------------------------------------------
@@ -233,8 +257,6 @@ def test_feature_difficulty_column_tracks_curve():
 
 def test_truth_summaries_match_oracle_per_object():
     rng = random.Random(501)
-    from keysoundgen.corpus import random_chart
-
     for _ in range(10):
         chart = random_chart(rng)
         if not chart.objects:
@@ -287,9 +309,9 @@ def test_summary_source_self_uses_predictor_not_truth():
 
     seen = []
 
-    def always_playable(row, index):
-        seen.append(index)
-        return True
+    def always_playable(rows, start):
+        seen.append(start)
+        return np.ones(len(rows), dtype=bool)
 
     # same difficulty curve for both so only summary provenance can differ
     grid = TimeGrid(chart)
@@ -303,6 +325,30 @@ def test_summary_source_self_uses_predictor_not_truth():
     # the predictor said "playable", so non-playable shares stay zero
     assert not a[:, COL_SUMMARY + 1 :: 2].any()
     assert a[2, COL_SUMMARY:].any()
+
+
+def test_self_mode_fed_authored_flags_reproduces_truth_rows():
+    """One count engine, two modes: per-instant self steps equal the one-pass truth rows."""
+    rng = random.Random(16)
+    charts = [entry.chart for entry in build_corpus(CorpusConfig(songs=4, seed=0))]
+    charts += [random_chart(rng) for _ in range(200)]
+    for chart in charts:
+        grid = TimeGrid(chart)
+        curve = difficulty_curve(chart, grid)
+        labels = resolve_labels(chart, TAXONOMY)
+        authored = np.asarray([obj.playable for obj in chart.objects], dtype=bool)
+        calls, shared = [], []
+
+        def authored_flags(rows, start):
+            calls.append(start)
+            shared.append((rows[:, COL_SUMMARY:] == rows[0, COL_SUMMARY:]).all())
+            return authored[start : start + len(rows)]
+
+        rows = build_features(chart, grid, curve, labels, "self", authored_flags)
+        assert np.array_equal(rows, build_features(chart, grid, curve, labels, "truth"))
+        beats = grid.object_beats
+        assert calls == [i for i in range(len(beats)) if i == 0 or beats[i] != beats[i - 1]]
+        assert all(shared)
 
 
 def test_self_predictor_required():
@@ -341,6 +387,14 @@ def test_mode_apply_selects_columns():
     bare = NO_SUMMARY_MODE.apply(rows)
     assert bare.shape == (2, 29)
     assert np.array_equal(bare, rows[:, :29])
+
+
+def test_mode_apply_returns_row_major_rows():
+    chart = simple_chart([(0, 0, Lane.K1, 1), (1, 0, Lane.K2, 1), (2, 0, Lane.K3, 1)])
+    rows = features_for(chart)
+    assert FULL_MODE.apply(rows) is rows
+    for mode in (FULL_MODE, NO_DIFFICULTY_MODE, NO_SUMMARY_MODE):
+        assert mode.apply(rows).flags["C_CONTIGUOUS"]
 
 
 def test_mode_apply_rejects_wrong_width():

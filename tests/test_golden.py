@@ -1,5 +1,5 @@
 """Golden outputs: sha256 pins of round-tripped BMS, feature matrices, curves,
-placed charts and self-fed rollout decisions.
+placed charts, self-fed rollout decisions and no-summary model decisions.
 
 A change that must keep outputs byte- or bit-identical keeps these digests.
 A change that alters an output on purpose updates the pin and says why.
@@ -16,9 +16,15 @@ from keysoundgen.bms import emit_bms_bytes, parse_bms_bytes
 from keysoundgen.corpus import CorpusConfig, build_corpus, random_chart, random_score
 from keysoundgen.dataset import featurize_corpus, resolve_labels, scratch_sample_ids
 from keysoundgen.difficulty import curve_to_text, difficulty_curve
-from keysoundgen.features import build_features
+from keysoundgen.features import NO_SUMMARY_MODE, build_features
 from keysoundgen.placement import apply_selection
-from keysoundgen.selector import TrainConfig, make_split, predict_chart, train_selector
+from keysoundgen.selector import (
+    TrainConfig,
+    make_split,
+    predict_chart,
+    predict_flags,
+    train_selector,
+)
 from keysoundgen.timing import TimeGrid
 
 
@@ -86,3 +92,24 @@ def test_self_rollout_decisions_are_pinned(taxonomy):
             scratch = scratch_sample_ids(chart, example.labels)
             digest.update(emit_bms_bytes(apply_selection(chart, flags, scratch)))
     assert digest.hexdigest() == "82458b051a458246a71efdfcec3e08e6fb89c848c5815c7fb6ed3bb91cdb65f5"
+
+
+def test_no_summary_decisions_are_pinned(taxonomy):
+    """ff_free in evaluate: a selector without summary features scores the test split."""
+    examples = featurize_corpus(build_corpus(CorpusConfig(songs=10, seed=0)), taxonomy)
+    split = make_split([example.song for example in examples], 0)
+    test = [example for example in examples if split.assignment[example.song] == "test"]
+    digest = hashlib.sha256()
+    for normalize in (False, True):
+        model, _ = train_selector(
+            examples,
+            split,
+            TrainConfig(max_epochs=3, normalize=normalize, seed=0),
+            NO_SUMMARY_MODE,
+        )
+        for example in test:
+            # three epochs call every test object playable, so the activations
+            # are pinned too: they move with any change in rounding
+            digest.update(model.forward(NO_SUMMARY_MODE.apply(example.features)).tobytes())
+            digest.update(predict_flags(model, example.features).tobytes())
+    assert digest.hexdigest() == "9ad9d8ec58b6bd2199c29c2db5d599a20dcbb296ba9889c3e6fca1bbe6446e41"

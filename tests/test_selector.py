@@ -356,7 +356,7 @@ def test_predict_chart_streams_its_own_summary():
     # self-consistency: rebuilding features from the returned flags and
     # batch-predicting must reproduce those same flags
     rows = build_features(
-        chart, grid, curve, labels, "self", lambda row, i: bool(flags[i])
+        chart, grid, curve, labels, "self", lambda rows, start: flags[start : start + len(rows)]
     )
     assert np.array_equal(predict_flags(model, rows), flags)
 
