@@ -17,9 +17,10 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import groupby
+from math import gcd, lcm
 from pathlib import Path
 
 from .errors import BmsParseError, DataError
@@ -27,20 +28,20 @@ from .errors import BmsParseError, DataError
 BASE36_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 MAX_SAMPLE_ID = 36 * 36 - 1  # "ZZ"
 MAX_MEASURE = 999  # measure numbers are three digits
+# An emitted message line has one slot per step of the lcm of its position
+# denominators; generated charts need at most a few thousand.
+MAX_MESSAGE_SLOTS = 1_000_000
 
 _RE_MESSAGE = re.compile(r"^(\d{3})([0-9A-Za-z]{2}):(.*)$")
 
 
 def base36_decode(token: str, line: int | None = None) -> int:
-    """Decode a two-character base-36 token ("00".."ZZ") to 0..1295."""
-    if len(token) != 2:
-        raise BmsParseError(f"expected a two-character token, got {token!r}", line)
-    value = 0
-    for ch in token.upper():
-        digit = BASE36_ALPHABET.find(ch)
-        if digit < 0:
-            raise BmsParseError(f"invalid base-36 character in token {token!r}", line)
-        value = value * 36 + digit
+    """Decode a two-character base-36 token ("00".."ZZ", any case) to 0..1295."""
+    value = _BASE36_VALUES.get(token)
+    if value is None:
+        if len(token) != 2:
+            raise BmsParseError(f"expected a two-character token, got {token!r}", line)
+        raise BmsParseError(f"invalid base-36 character in token {token!r}", line)
     return value
 
 
@@ -49,6 +50,16 @@ def base36_encode(value: int) -> str:
     if not 0 <= value <= MAX_SAMPLE_ID:
         raise DataError(f"value {value} out of base-36 token range")
     return BASE36_ALPHABET[value // 36] + BASE36_ALPHABET[value % 36]
+
+
+# Every token in every mix of upper and lower case, mapped to its value.
+_BASE36_VALUES = {
+    high + low: 36 * i + j
+    for i, first in enumerate(BASE36_ALPHABET)
+    for high in {first, first.lower()}
+    for j, second in enumerate(BASE36_ALPHABET)
+    for low in {second, second.lower()}
+}
 
 
 class Lane(enum.Enum):
@@ -67,10 +78,6 @@ class Lane(enum.Enum):
     @property
     def playable(self) -> bool:
         return self is not Lane.BG
-
-    @property
-    def order(self) -> int:
-        return self.value
 
 
 # 1P object channels.  Channel 16 is the turntable; 17 is unused by the
@@ -166,10 +173,6 @@ class Chart:
         return [i for i, o in enumerate(self.objects) if o.playable]
 
 
-def _object_sort_key(obj: TimedObject):
-    return (obj.measure, obj.position, obj.lane.order, obj.sample.id)
-
-
 def make_chart(
     objects,
     sample_table: dict[int, str],
@@ -184,7 +187,19 @@ def make_chart(
     measure lengths, dedupes BPM events by position (last one wins), and
     checks every invariant the rest of the pipeline relies on.
     """
-    objs = tuple(sorted(objects, key=_object_sort_key))
+    objects = list(objects)
+    try:
+        # float() is monotone, so the exact position compare only runs on
+        # float ties, and positions shared by one parse tie by identity
+        keys = [
+            (o.measure, float(o.position), o.position, o.lane.value, o.sample.id)
+            for o in objects
+        ]
+    except OverflowError:  # a position past float range is far outside [0, 1)
+        position = max((obj.position for obj in objects), key=abs)
+        raise DataError(f"object position {position} outside [0, 1)") from None
+    order = sorted(range(len(objects)), key=keys.__getitem__)
+    objs = tuple(objects[i] for i in order)
     table = dict(sample_table)
 
     lengths = {}
@@ -215,11 +230,14 @@ def make_chart(
     if events[0].measure != 0 or events[0].position != 0:
         raise DataError("first BPM event must sit at measure 0, position 0")
 
-    seen_playable: set[tuple[int, Fraction, Lane]] = set()
-    for obj in objs:
+    # objects sharing (measure, position, lane) are adjacent in sorted order
+    last_playable = None
+    for i in order:
+        obj = objects[i]
         if not 0 <= obj.measure <= MAX_MEASURE:
             raise DataError(f"object measure {obj.measure} outside 0..{MAX_MEASURE}")
-        if not 0 <= obj.position < 1:
+        # a float strictly inside (0, 1) proves the exact position is too
+        if not 0.0 < keys[i][1] < 1.0 and not 0 <= obj.position < 1:
             raise DataError(f"object position {obj.position} outside [0, 1)")
         if obj.playable != obj.lane.playable:
             raise DataError(
@@ -234,37 +252,21 @@ def make_chart(
                 f"but object carries {obj.sample.file_name!r}"
             )
         if obj.playable:
-            key = (obj.measure, obj.position, obj.lane)
-            if key in seen_playable:
+            key = keys[i][:4]
+            if key == last_playable:
                 raise DataError(
                     f"two playable objects share measure {obj.measure} position "
                     f"{obj.position} lane {obj.lane.name}"
                 )
-            seen_playable.add(key)
+            last_playable = key
 
     return Chart(objs, table, events, lengths, metadata, tuple(warnings))
-
-
-def instant_groups(chart: Chart, indices):
-    """Split ascending object indices into runs sharing an exact (measure, position)."""
-    group: list[int] = []
-    key = None
-    for i in indices:
-        obj = chart.objects[i]
-        obj_key = (obj.measure, obj.position)
-        if obj_key != key and group:
-            yield group
-            group = []
-        key = obj_key
-        group.append(i)
-    if group:
-        yield group
 
 
 def with_lanes(chart: Chart, lanes) -> Chart:
     """Rebuild a chart with new lane assignments (playability follows the lane)."""
     new_objects = [
-        replace(obj, lane=lane, playable=lane.playable)
+        TimedObject(obj.measure, obj.position, obj.sample, lane, lane.playable)
         for obj, lane in zip(chart.objects, lanes, strict=True)
     ]
     return make_chart(
@@ -364,6 +366,8 @@ def parse_bms(text: str) -> Chart:
     objects: list[TimedObject] = []
     bpm_events: list[BpmEvent] = [BpmEvent(0, Fraction(0), header_bpm)]
     measure_lengths: dict[int, Fraction] = {}
+    positions: dict[tuple[int, int], Fraction] = {}  # see _iter_pairs
+    samples: dict[int, SampleRef] = {}  # one SampleRef per sample id
 
     for lineno, measure, channel, data in messages:
         if channel == CHANNEL_MEASURE_LENGTH:
@@ -377,7 +381,7 @@ def parse_bms(text: str) -> Chart:
             continue
 
         if channel == CHANNEL_BPM:
-            for position, token in _iter_pairs(data, lineno):
+            for position, token in _iter_pairs(data, lineno, positions):
                 try:
                     value = int(token, 16)
                 except ValueError:
@@ -388,10 +392,8 @@ def parse_bms(text: str) -> Chart:
             continue
 
         if channel == CHANNEL_BPM_INDEXED:
-            for position, token in _iter_pairs(data, lineno):
+            for position, token in _iter_pairs(data, lineno, positions):
                 index = base36_decode(token, lineno)
-                if index == 0:
-                    continue
                 if index not in bpm_defs:
                     raise BmsParseError(f"BPM index {token!r} has no #BPM{token} definition", lineno)
                 bpm_events.append(BpmEvent(measure, position, bpm_defs[index]))
@@ -399,24 +401,18 @@ def parse_bms(text: str) -> Chart:
 
         if channel == CHANNEL_BGM or channel in LANE_BY_CHANNEL:
             lane = LANE_BY_CHANNEL.get(channel, Lane.BG)
-            for position, token in _iter_pairs(data, lineno):
+            playable = lane.playable
+            for position, token in _iter_pairs(data, lineno, positions):
                 sample_id = base36_decode(token, lineno)
-                if sample_id == 0:
-                    continue  # "00" marks a rest
-                if sample_id not in wav_table:
-                    raise BmsParseError(
-                        f"token {token!r} references sample id {sample_id} with no #WAV definition",
-                        lineno,
-                    )
-                objects.append(
-                    TimedObject(
-                        measure=measure,
-                        position=position,
-                        sample=SampleRef(sample_id, wav_table[sample_id]),
-                        lane=lane,
-                        playable=lane.playable,
-                    )
-                )
+                sample = samples.get(sample_id)
+                if sample is None:
+                    if sample_id not in wav_table:
+                        raise BmsParseError(
+                            f"token {token!r} references sample id {sample_id} with no #WAV definition",
+                            lineno,
+                        )
+                    sample = samples[sample_id] = SampleRef(sample_id, wav_table[sample_id])
+                objects.append(TimedObject(measure, position, sample, lane, playable))
             continue
 
         if channel == 17:
@@ -447,13 +443,26 @@ def _parse_float(value: str, what: str, lineno: int) -> float:
         raise BmsParseError(f"invalid {what} {value!r}", lineno) from None
 
 
-def _iter_pairs(data: str, lineno: int):
-    """Split channel message data into (position, token) pairs."""
+def _iter_pairs(data: str, lineno: int, positions: dict[tuple[int, int], Fraction]):
+    """Split channel message data into (position, uppercase token) pairs, skipping "00" rests.
+
+    positions maps (slot, slot count) to one shared Fraction per value for
+    the whole parse, so equal positions are one object and compare by
+    identity.
+    """
     if not data or len(data) % 2 != 0:
         raise BmsParseError(f"message data {data!r} must be a non-empty even-length token string", lineno)
     count = len(data) // 2
     for i in range(count):
-        yield Fraction(i, count), data[2 * i : 2 * i + 2].upper()
+        token = data[2 * i : 2 * i + 2]
+        if token == "00":
+            continue
+        position = positions.get((i, count))
+        if position is None:
+            g = gcd(i, count)
+            position = positions.setdefault((i // g, count // g), Fraction(i, count))
+            positions[i, count] = position
+        yield position, token.upper()
 
 
 def parse_bms_bytes(data: bytes) -> Chart:
@@ -549,8 +558,26 @@ def emit_bms(chart: Chart) -> str:
     return "\n".join(lines)
 
 
+def _message_slots(entries: list[tuple[Fraction, str]]) -> int:
+    """Slots in one message line: the lcm of its position denominators, capped.
+
+    The lcm grows one denominator at a time and is refused as soon as it
+    passes the ceiling, so many large coprime denominators cost no more
+    than the first few of them.
+    """
+    slots = 1
+    for pos, _ in entries:
+        slots = lcm(slots, pos.denominator)
+        if slots > MAX_MESSAGE_SLOTS:
+            raise DataError(
+                f"a message line needs at least {slots} slots to hold its positions, "
+                f"more than {MAX_MESSAGE_SLOTS}; use coarser positions"
+            )
+    return slots
+
+
 def _pack_message(entries: list[tuple[Fraction, str]]) -> str:
-    denominator = lcm(*(pos.denominator for pos, _ in entries)) if entries else 1
+    denominator = _message_slots(entries)
     tokens = ["00"] * denominator
     for pos, token in entries:
         slot = pos.numerator * (denominator // pos.denominator)
@@ -559,18 +586,21 @@ def _pack_message(entries: list[tuple[Fraction, str]]) -> str:
 
 
 def _bgm_layers(objects: list[TimedObject]) -> list[str]:
-    """Stack simultaneous background objects into parallel channel-01 lines."""
-    if not objects:
-        return []
-    by_pos: dict[Fraction, list[TimedObject]] = {}
-    for obj in objects:
-        by_pos.setdefault(obj.position, []).append(obj)
-    depth = max(len(group) for group in by_pos.values())
+    """Stack simultaneous background objects into parallel channel-01 lines.
+
+    objects come in chart order, so each position is one run, in ascending
+    position order.
+    """
+    groups = [
+        list(run)
+        for _, run in groupby(objects, key=lambda o: (o.position.numerator, o.position.denominator))
+    ]
+    depth = max((len(group) for group in groups), default=0)
     layers = []
     for level in range(depth):
         entries = [
-            (pos, base36_encode(group[level].sample.id))
-            for pos, group in sorted(by_pos.items())
+            (group[level].position, base36_encode(group[level].sample.id))
+            for group in groups
             if len(group) > level
         ]
         layers.append(_pack_message(entries))

@@ -35,11 +35,11 @@ from .bms import (
     Metadata,
     SampleRef,
     TimedObject,
-    instant_groups,
     make_chart,
 )
 from .errors import DataError
 from .placement import apply_selection
+from .timing import TimeGrid
 
 ALWAYS_PLAYABLE = ("kick", "snare")
 ALWAYS_BACKGROUND = ("hat", "noise", "fx")
@@ -276,7 +276,7 @@ def random_score(rng: random.Random, max_group: int = 8):
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 150.0)])
 
     flags = [False] * len(chart.objects)
-    for group in instant_groups(chart, range(len(chart.objects))):
+    for group in TimeGrid(chart).instant_groups(range(len(chart.objects))):
         for i in rng.sample(group, rng.randint(0, min(max_group, len(group)))):
             flags[i] = True
     return chart, flags

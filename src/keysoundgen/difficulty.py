@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor, isfinite
 
-from .bms import Chart, instant_groups
+from .bms import Chart
 from .errors import DataError
 from .timing import TimeGrid
 
@@ -67,20 +67,26 @@ class DifficultyCurve:
 
 
 class ControlStrain:
-    """Per-control individual strain: decays between presses, grows on each press."""
+    """Per-control individual strain: decays between presses, grows on each press.
+
+    Controls are ints: lane values, control indices or sample ids.
+    """
 
     def __init__(self, config: StrainConfig = DEFAULT_STRAIN):
-        self._config = config
-        self._strain: dict = {}
-        self._last: dict = {}
+        self._decay = config.decay_individual
+        self._base = config.base_individual
+        self._strain: dict[int, float] = {}
+        self._last: dict[int, float] = {}
 
-    def at(self, control, t: float) -> float:
+    def at(self, control: int, t: float) -> float:
         """Residual strain of a control at time t (0 for a control never pressed)."""
-        decay = self._config.decay_individual ** (t - self._last.get(control, t))
-        return self._strain.get(control, 0.0) * decay
+        last = self._last.get(control)
+        if last is None:
+            return 0.0
+        return self._strain[control] * self._decay ** (t - last)
 
-    def press(self, control, t: float) -> float:
-        strain = self.at(control, t) + self._config.base_individual
+    def press(self, control: int, t: float) -> float:
+        strain = self.at(control, t) + self._base
         self._strain[control] = strain
         self._last[control] = t
         return strain
@@ -97,7 +103,7 @@ def compute_strain(
     """
     contributing = chart.playable_indices()
     if contributing:
-        control_of = lambda obj: obj.lane
+        control_of = lambda obj: obj.lane.value
     else:
         contributing = list(range(len(chart.objects)))
         control_of = lambda obj: obj.sample.id
@@ -107,7 +113,7 @@ def compute_strain(
     overall = 0.0
     last_overall_time = 0.0
 
-    for group in instant_groups(chart, contributing):
+    for group in grid.instant_groups(contributing):
         t = grid.object_seconds[group[0]]
         overall = overall * config.decay_overall ** (t - last_overall_time)
         overall += config.base_overall * len(group)

@@ -10,13 +10,16 @@ controls, or for samples classified as scratches.
 
 from __future__ import annotations
 
-from .bms import Chart, Lane, instant_groups, with_lanes
+from .bms import Chart, Lane, with_lanes
 from .difficulty import DEFAULT_STRAIN, ControlStrain, StrainConfig
 from .errors import PlacementOverflowError
 from .timing import TimeGrid
 
 KEY_LANES = (Lane.K1, Lane.K2, Lane.K3, Lane.K4, Lane.K5, Lane.K6, Lane.K7)
 CONTROL_LANES = KEY_LANES + (Lane.TT,)
+# Placement runs on control indices into CONTROL_LANES, whose order is the
+# lane order ties break by.
+TURNTABLE = CONTROL_LANES.index(Lane.TT)
 
 
 def assign_controls(
@@ -40,34 +43,40 @@ def assign_controls(
             f"{len(flags)} flags for {len(chart.objects)} objects"
         )
 
-    lanes: list[Lane] = [Lane.BG] * len(chart.objects)
+    objects = chart.objects
+    lanes: list[Lane] = [Lane.BG] * len(objects)
     strain = ControlStrain(config)
 
-    for group in instant_groups(chart, [i for i, flagged in enumerate(flags) if flagged]):
-        first = chart.objects[group[0]]
+    for group in grid.instant_groups([i for i, flagged in enumerate(flags) if flagged]):
         if len(group) > len(CONTROL_LANES):
+            first = objects[group[0]]
             raise PlacementOverflowError(
                 f"{len(group)} simultaneous playable objects at measure {first.measure} "
                 f"position {first.position}, but only {len(CONTROL_LANES)} controls exist; "
                 f"lower the difficulty curve or re-run selection with fewer playables"
             )
         t = grid.object_seconds[group[0]]
-        taken: set[Lane] = set()
+        # a control's strain only changes when it is pressed, and a pressed
+        # control stays taken for the rest of the instant
+        residual = [strain.at(c, t) for c in range(len(CONTROL_LANES))]
+        free_keys = list(range(TURNTABLE))
+        turntable_free = True
         allow_turntable = len(group) == len(CONTROL_LANES)
-        for i in sorted(group, key=lambda j: (chart.objects[j].sample.id, j)):
-            is_scratch = (
-                scratch_to_turntable and chart.objects[i].sample.id in scratch_samples
-            )
-            if is_scratch and Lane.TT not in taken:
-                lane = Lane.TT
+        # a stable sort: equal sample ids keep their chart order
+        for i in sorted(group, key=lambda j: objects[j].sample.id):
+            is_scratch = scratch_to_turntable and objects[i].sample.id in scratch_samples
+            if is_scratch and turntable_free:
+                control = TURNTABLE
+            elif (allow_turntable or is_scratch) and turntable_free:
+                control = min(free_keys + [TURNTABLE], key=residual.__getitem__)
             else:
-                candidates = [l for l in KEY_LANES if l not in taken]
-                if (allow_turntable or is_scratch) and Lane.TT not in taken:
-                    candidates.append(Lane.TT)
-                lane = min(candidates, key=lambda l: (strain.at(l, t), l.order))
-            taken.add(lane)
-            strain.press(lane, t)
-            lanes[i] = lane
+                control = min(free_keys, key=residual.__getitem__)
+            if control == TURNTABLE:
+                turntable_free = False
+            else:
+                free_keys.remove(control)
+            strain.press(control, t)
+            lanes[i] = CONTROL_LANES[control]
     return lanes
 
 

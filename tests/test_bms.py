@@ -1,6 +1,7 @@
 """Parser and emitter tests, including the exact round-trip property."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,8 +22,11 @@ from keysoundgen.bms import (
     make_chart,
     parse_bms,
     parse_bms_bytes,
+    with_lanes,
 )
+from keysoundgen import bms
 from keysoundgen.errors import BmsParseError, DataError
+from keysoundgen.timing import TimeGrid
 
 
 def simple_chart(**overrides):
@@ -178,6 +182,91 @@ def test_parse_error_carries_line_number():
     assert "line 3" in str(info.value)
 
 
+def test_parse_rest_only_message_yields_nothing_but_bad_data_still_raises():
+    chart = parse_bms("#BPM 120\n#WAV01 a.wav\n#00111:0000\n#00108:00\n#00103:0000\n")
+    assert chart.objects == ()
+    assert len(chart.bpm_events) == 1
+    for data in ("000", "", "0"):
+        with pytest.raises(BmsParseError, match="even-length") as info:
+            parse_bms(f"#BPM 120\n#WAV01 a.wav\n#00111:{data}\n")
+        assert info.value.line == 3
+
+
+@pytest.mark.parametrize("channel", [1, 8, 11, 12, 13, 14, 15, 16, 18, 19])
+@pytest.mark.parametrize("token", ["0!", "Z-"])
+def test_parse_invalid_token_raises_with_its_line(channel, token):
+    text = f"#BPM 120\n#BPM01 150\n#WAV01 a.wav\n#001{channel:02d}:0100{token}01\n"
+    with pytest.raises(BmsParseError, match="invalid base-36 character") as info:
+        parse_bms(text)
+    assert info.value.line == 4
+
+
+def test_parse_invalid_token_on_skipped_channel_only_warns():
+    # channel 17 is unused in the 7+1 layout: its data is never decoded
+    chart = parse_bms("#BPM 120\n#WAV01 a.wav\n#00117:0!\n")
+    assert chart.objects == ()
+    assert [w.line for w in chart.warnings] == [3]
+
+
+def test_parse_invalid_hex_bpm_token_raises_with_its_line():
+    with pytest.raises(BmsParseError, match="invalid hex BPM token 'Z-'") as info:
+        parse_bms("#BPM 120\n#00103:00Z-\n")
+    assert info.value.line == 2
+
+
+def test_parse_lowercase_data_matches_uppercase():
+    header = "#BPM 120\n#BPM0A 150\n#WAVZZ a.wav\n#WAVAB b.wav\n"
+    upper = header + "#00111:ZZ00AB00\n#00101:ABZZ\n#00108:0A00\n#00103:00FF\n"
+    lower = header + "#00111:zz00aB00\n#00101:abzz\n#00108:0a00\n#00103:00ff\n"
+    expected = parse_bms(upper)
+    assert len(expected.objects) == 4
+    assert len(expected.bpm_events) == 3
+    assert parse_bms(lower) == expected
+
+
+def test_parse_lowercase_undefined_reference_names_uppercase_token():
+    with pytest.raises(BmsParseError, match="token 'AB' references sample id 371") as info:
+        parse_bms("#BPM 120\n#WAV01 a.wav\n#00111:ab\n")
+    assert info.value.line == 3
+    with pytest.raises(BmsParseError, match="BPM index '0A' has no #BPM0A"):
+        parse_bms("#BPM 120\n#00108:0a\n")
+
+
+def test_parse_equal_positions_from_different_slot_counts():
+    # 1/2 of a 2-token line and 2/4 of a 4-token line are the same instant
+    chart = parse_bms("#BPM 120\n#WAV01 a.wav\n#WAV02 b.wav\n#00112:00000200\n#00111:0001\n")
+    assert [(o.lane, o.position) for o in chart.objects] == [
+        (Lane.K1, Fraction(1, 2)),
+        (Lane.K2, Fraction(1, 2)),
+    ]
+    table = {1: "a.wav", 2: "b.wav"}
+    fresh = make_chart(
+        [
+            TimedObject(1, Fraction(2, 4), SampleRef(2, "b.wav"), Lane.K2, True),
+            TimedObject(1, Fraction(1, 2), SampleRef(1, "a.wav"), Lane.K1, True),
+        ],
+        table,
+        [BpmEvent(0, Fraction(0), 120.0)],
+    )
+    assert chart == fresh
+    assert TimeGrid(chart).object_instants == [0, 0]
+    # and they still collide when both are playable on one lane
+    with pytest.raises(DataError, match="share"):
+        parse_bms("#BPM 120\n#WAV01 a.wav\n#WAV02 b.wav\n#00111:00000200\n#00111:0001\n")
+
+
+def test_json_positions_equal_parsed_shared_positions():
+    text = (
+        "#BPM 120\n#WAV01 a.wav\n#WAV02 b.wav\n#WAV03 c.wav\n"
+        "#00111:01020301\n#00112:0203\n#00101:0102030102030102\n#00201:0000000001\n"
+    )
+    chart = parse_bms(text)
+    again = chart_from_json(chart_to_json(chart))
+    assert again == chart
+    assert emit_bms(again) == emit_bms(chart)
+    assert TimeGrid(again).object_beats == TimeGrid(chart).object_beats
+
+
 def test_parse_warns_and_skips_unsupported():
     chart = parse_bms(
         "#BPM 120\n"
@@ -264,6 +353,47 @@ def test_make_chart_allows_background_collision():
     assert len(chart.objects) == 2
 
 
+def test_make_chart_checks_positions_exactly():
+    # these positions round to the float 0.0, 1.0 or overflow it
+    def chart_at(position):
+        obj = TimedObject(0, position, SampleRef(1, "a.wav"), Lane.BG, False)
+        return make_chart([obj], {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
+
+    for position in (Fraction(1, 10**400), 1 - Fraction(1, 10**400)):
+        assert chart_at(position).objects[0].position == position
+    for position in (Fraction(1), Fraction(-1, 10**400), Fraction(10**400)):
+        with pytest.raises(DataError, match=r"outside \[0, 1\)"):
+            chart_at(position)
+
+
+def test_with_lanes_reorders_within_an_instant():
+    # the lane is part of the sort key, so swapping lanes can swap objects
+    table = {1: "a.wav", 2: "b.wav"}
+    bpm = [BpmEvent(0, Fraction(0), 120.0)]
+    s1, s2 = SampleRef(1, "a.wav"), SampleRef(2, "b.wav")
+    chart = make_chart(
+        [
+            TimedObject(0, Fraction(0), s1, Lane.BG, False),
+            TimedObject(0, Fraction(0), s2, Lane.K1, True),
+        ],
+        table,
+        bpm,
+    )
+    assert [(o.lane, o.sample.id) for o in chart.objects] == [(Lane.K1, 2), (Lane.BG, 1)]
+    swapped = with_lanes(chart, [Lane.BG, Lane.K1])
+    assert [(o.lane, o.sample.id) for o in swapped.objects] == [(Lane.K1, 1), (Lane.BG, 2)]
+    assert swapped == make_chart(
+        [
+            TimedObject(0, Fraction(0), s2, Lane.BG, False),
+            TimedObject(0, Fraction(0), s1, Lane.K1, True),
+        ],
+        table,
+        bpm,
+    )
+    with pytest.raises(DataError, match="share"):
+        with_lanes(chart, [Lane.K1, Lane.K1])
+
+
 def test_make_chart_rejects_mismatched_playable_flag():
     table = {1: "a.wav"}
     objs = [TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.K1, False)]
@@ -338,6 +468,60 @@ def test_emit_packs_lcm_denominator():
     assert len(data) == 24  # 12 slots * 2 chars
     assert data[2 * 3 : 2 * 3 + 2] == "01"  # 1/4 of 12
     assert data[2 * 4 : 2 * 4 + 2] == "01"  # 1/3 of 12
+
+
+def test_emit_refuses_lines_past_slot_ceiling(monkeypatch):
+    monkeypatch.setattr(bms, "MAX_MESSAGE_SLOTS", 1000)
+    table = {1: "a.wav"}
+    bpm = [BpmEvent(0, Fraction(0), 120.0)]
+
+    def keyed(*positions):
+        return make_chart(
+            [TimedObject(0, p, SampleRef(1, "a.wav"), Lane.K1, True) for p in positions], table, bpm
+        )
+
+    # lcm(8, 125) = 1000 slots fits; lcm(7, 11, 13) = 1001 does not
+    assert "#00011:" in emit_bms(keyed(Fraction(1, 8), Fraction(1, 125)))
+    with pytest.raises(DataError, match="1001 slots"):
+        emit_bms(keyed(Fraction(1, 7), Fraction(1, 11), Fraction(1, 13)))
+    with pytest.raises(DataError, match="1009 slots"):
+        emit_bms(keyed(Fraction(1, 1009)))
+
+    # three background lines of 7, 11 and 13 tokens in one measure parse,
+    # but stack into one layer that needs 1001 slots
+    lines = ["#00001:01" + "00" * (n - 2) + "01" for n in (7, 11, 13)]
+    chart = parse_bms("#BPM 120\n#WAV01 a.wav\n" + "\n".join(lines) + "\n")
+    assert len(chart.objects) == 6
+    with pytest.raises(DataError, match="1001 slots"):
+        emit_bms(chart)
+
+
+def test_message_slot_ceiling_holds_before_any_allocation():
+    # _message_slots only computes the lcm, so the full-size cases run here
+    # without a list of that size ever being built
+    assert bms.MAX_MESSAGE_SLOTS == 1_000_000
+    with pytest.raises(DataError, match="1000000007 slots"):
+        bms._message_slots([(Fraction(1, 1000000007), "01")])
+    entries = [(Fraction(1, n), "01") for n in (997, 991, 983)]
+    with pytest.raises(DataError, match=f"{997 * 991 * 983} slots"):
+        bms._message_slots(entries)
+    assert bms._message_slots([(Fraction(1, 3360), "01"), (Fraction(1, 7), "01")]) == 3360
+
+
+def test_message_slot_ceiling_stops_at_first_overflow(monkeypatch):
+    # the lcm of these 2000 primes has thousands of digits; the check must
+    # stop at the first two, whose product 31 * 37 already passes 1000
+    monkeypatch.setattr(bms, "MAX_MESSAGE_SLOTS", 1000)
+    primes = [n for n in range(31, 20000) if all(n % d for d in range(2, math.isqrt(n) + 1))][:2000]
+    assert len(primes) == 2000
+    entries = [(Fraction(1, p), "01") for p in primes]
+    with pytest.raises(DataError, match=r"at least 1147 slots"):
+        bms._message_slots(entries)
+    objs = [TimedObject(0, pos, SampleRef(1, "a.wav"), Lane.K1, True) for pos, _ in entries]
+    chart = make_chart(objs, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
+    # the line holds its positions in ascending order, so the largest prime comes first
+    with pytest.raises(DataError, match=f"at least {primes[-1]} slots"):
+        emit_bms(chart)
 
 
 def test_emit_non_ten_smooth_measure_length_uses_fraction():

@@ -174,6 +174,25 @@ def test_measure_past_three_digits_exits_two(tmp_path, capsys):
         assert "0..999" in capsys.readouterr().err
 
 
+def test_emit_past_slot_ceiling_exits_two(tmp_path, capsys, monkeypatch):
+    # the ceiling is patched small so a broken check could not allocate much
+    from keysoundgen import bms
+
+    monkeypatch.setattr(bms, "MAX_MESSAGE_SLOTS", 1000)
+    good = tmp_path / "good.bms"
+    make_source_chart(good)
+    doc = tmp_path / "chart.json"
+    assert main(["parse", str(good), "-o", str(doc)]) == 0
+    chart = json.loads(doc.read_text("utf-8"))
+    chart["objects"][-1]["position"] = "1/1009"
+    doc.write_text(json.dumps(chart), encoding="utf-8")
+    assert main(["emit", str(doc), "-o", str(tmp_path / "out.bms")]) == 2
+    err = capsys.readouterr().err
+    assert "1009 slots" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.bms").exists()
+
+
 # -- parse / emit -------------------------------------------------------------
 
 def test_parse_emit_roundtrip(tmp_path, capsys):

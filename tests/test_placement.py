@@ -48,8 +48,8 @@ def test_unflagged_objects_stay_in_background():
 def test_group_of_eight_fills_every_control():
     chart = background_chart([(0, 0, sid) for sid in range(1, 9)])
     lanes = assign_controls(chart, TimeGrid(chart), [True] * 8)
-    assert sorted(lanes, key=lambda l: l.order) == sorted(
-        CONTROL_LANES, key=lambda l: l.order
+    assert sorted(lanes, key=lambda l: l.value) == sorted(
+        CONTROL_LANES, key=lambda l: l.value
     )
 
 

@@ -31,8 +31,8 @@ def test_beats_with_short_measure():
 
 def test_beats_exact_is_rational():
     g = grid([BpmEvent(0, Fraction(0), 120.0)], {0: Fraction(7, 12)})
-    assert g.beats_exact(0, Fraction(1, 3)) == Fraction(7, 9)
-    assert g.beats_exact(1, Fraction(0)) == Fraction(7, 3)
+    assert Fraction(*g._ratio(0, Fraction(1, 3))) == Fraction(7, 9)
+    assert Fraction(*g._ratio(1, Fraction(0))) == Fraction(7, 3)
 
 
 def test_beats_past_precomputed_range():
@@ -95,6 +95,36 @@ def test_time_columns_align_with_objects():
     assert g.object_beats == [1.0, 1.0, 8.0]
     # 150 bpm: 0.4 s per beat
     assert g.object_seconds == [0.4, 0.4, 8.0 * 60.0 / 150.0]
+
+
+def test_instants_are_exact_not_float():
+    # 1/10**20 and 2/10**20 of a measure land on the same float beat but
+    # are different instants; 1/2 and 2/4 are one instant
+    tiny = [Fraction(1, 10**20), Fraction(2, 10**20)]
+    objects = [
+        TimedObject(1, position, SampleRef(1, "a.wav"), Lane.BG, False)
+        for position in tiny + [Fraction(1, 2), Fraction(2, 4), Fraction(3, 4)]
+    ]
+    chart = make_chart(objects, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
+    g = TimeGrid(chart)
+    assert g.object_beats[0] == g.object_beats[1] == 4.0
+    assert g.object_instants == [0, 1, 2, 2, 3]
+    assert list(g.instant_groups(range(5))) == [[0], [1], [2, 3], [4]]
+    assert list(g.instant_groups([0, 2, 4])) == [[0], [2], [4]]
+    assert list(g.instant_groups([])) == []
+
+
+def test_beats_match_exact_fraction_conversion():
+    # int / int of the unreduced beat is the float of the reduced Fraction
+    lengths = {0: Fraction(3, 7), 2: Fraction(11, 13), 3: Fraction(10**30 + 1, 10**29)}
+    chart = make_chart([], {}, [BpmEvent(0, Fraction(0), 120.0)], lengths)
+    g = TimeGrid(chart)
+    for measure in range(6):
+        for position in (Fraction(0), Fraction(1, 3), Fraction(5, 97), Fraction(10**17 - 1, 10**17)):
+            length = lambda j: lengths.get(j, Fraction(1))
+            exact = sum(4 * length(j) for j in range(measure)) + 4 * length(measure) * position
+            assert Fraction(*g._ratio(measure, position)) == exact
+            assert g.beats(measure, position) == float(exact)
 
 
 def test_non_finite_time_is_rejected():
