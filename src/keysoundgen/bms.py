@@ -61,6 +61,9 @@ _BASE36_VALUES = {
     for low in {second, second.lower()}
 }
 
+# Channel 03 BPM tokens: exactly two ASCII hex digits (tokens arrive uppercased).
+_HEX_VALUES = {f"{value:02X}": value for value in range(256)}
+
 
 class Lane(enum.Enum):
     """One of the 8 player controls (7 keys + turntable) or the background."""
@@ -382,10 +385,9 @@ def parse_bms(text: str) -> Chart:
 
         if channel == CHANNEL_BPM:
             for position, token in _iter_pairs(data, lineno, positions):
-                try:
-                    value = int(token, 16)
-                except ValueError:
-                    raise BmsParseError(f"invalid hex BPM token {token!r}", lineno) from None
+                value = _HEX_VALUES.get(token)
+                if value is None:
+                    raise BmsParseError(f"invalid hex BPM token {token!r}", lineno)
                 if value == 0:
                     continue
                 bpm_events.append(BpmEvent(measure, position, float(value)))

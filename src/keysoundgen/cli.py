@@ -211,6 +211,7 @@ def _cmd_features(args, config: Config) -> int:
 
 
 def _cmd_train_classifier(args, config: Config) -> int:
+    classifier_config = replace(config.classifier(), seed=_seed(args))
     taxonomy = load_taxonomy(args.taxonomy)
     manifest = None
     if args.labels is not None:
@@ -231,7 +232,6 @@ def _cmd_train_classifier(args, config: Config) -> int:
     if skipped:
         sys.stderr.write(f"skipped {skipped} samples with no usable label\n")
 
-    classifier_config = replace(config.classifier(), seed=_seed(args))
     model, report = train_classifier(corpus, classifier_config)
     save_classifier(args.output, model)
     sys.stdout.write(
@@ -248,8 +248,8 @@ def _load_examples(directory: str, taxonomy_path, strain_config):
 
 
 def _cmd_train_selector(args, config: Config) -> int:
-    examples = _load_examples(args.directory, args.taxonomy, config.strain())
     train_config = replace(config.selector(), seed=_seed(args))
+    examples = _load_examples(args.directory, args.taxonomy, config.strain())
     split = make_split([e.song for e in examples], train_config.seed)
     model, report = train_selector(examples, split, train_config, MODE_NAMES[args.mode])
     save_selector(args.output, model)
@@ -296,8 +296,8 @@ def _cmd_generate(args, config: Config) -> int:
 
 
 def _cmd_evaluate(args, config: Config) -> int:
-    examples = _load_examples(args.directory, args.taxonomy, config.strain())
     train_config = replace(config.selector(), seed=_seed(args))
+    examples = _load_examples(args.directory, args.taxonomy, config.strain())
     split = make_split([e.song for e in examples], train_config.seed)
     report = run_experiment(examples, split, train_config, DEFAULT_VARIANTS)
     table = report_table(report)

@@ -3,9 +3,12 @@
 Two valid-padding convolution layers (ReLU + 2x2 max-pool after each)
 feed one fully connected layer; softmax cross-entropy trains with plain
 gradient descent at step size 0.01 and 50% inverted dropout on the FC
-input.  Convolutions run as im2col matrix products; max-pool backward
-routes each window's gradient to the first maximum, so tied cells never
-double-count and inference is deterministic.
+input.  Activations stay channel-last (n, h, w, c) up to the dense layer's
+(c, h, w) flatten; convolutions are im2col products over (c, kh, kw).
+Max-pool takes each window's first maximum in row-major order, NaN
+counting as the maximum as in np.argmax, and backward routes the whole
+gradient there, so tied cells never double-count and inference is
+deterministic.  ReLU runs after the pool (both are monotone).
 
 All arithmetic is float64; model files round to little-endian float32.
 """
@@ -13,7 +16,7 @@ All arithmetic is float64; model files round to little-endian float32.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,23 @@ class ClassifierConfig:
     epochs: int = 30
     holdout_fraction: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("conv1_filters", "conv2_filters", "kernel", "batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise DataError(f"classifier {name} must be at least 1, got {getattr(self, name)}")
+        if not 1 <= self.classes <= CATEGORY_COUNT:
+            raise DataError(f"classifier class count {self.classes} outside 1..{CATEGORY_COUNT}")
+        if not 0 <= self.dropout < 1:
+            raise DataError(f"classifier dropout must be in [0, 1), got {self.dropout}")
+        if not (isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(
+                f"classifier learning_rate must be finite and positive, got {self.learning_rate}"
+            )
+        if not 0 < self.holdout_fraction < 1:
+            raise DataError(
+                f"classifier holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
+            )
 
 
 def _pooled(size: int, kernel: int) -> int:
@@ -86,59 +106,58 @@ class ConvClassifier:
         model.flat_dim = model.weights.shape[0]
         return model
 
-    # -- layers ---------------------------------------------------------
+    # -- layers (channel-last) -------------------------------------------
 
     @staticmethod
     def _conv_forward(x, kernels, bias):
-        n, c, h, w = x.shape
+        n, h, w, c = x.shape
         f, _, kh, kw = kernels.shape
         oh, ow = h - kh + 1, w - kw + 1
-        cols = sliding_window_view(x, (kh, kw), axis=(2, 3))
-        cols = cols.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+        # windows come out (n, oh, ow, c, kh, kw): one row per pixel, columns in kernel order
+        cols = sliding_window_view(x, (kh, kw), axis=(1, 2)).reshape(n * oh * ow, c * kh * kw)
         out = cols @ kernels.reshape(f, -1).T + bias
-        return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2), cols
+        return out.reshape(n, oh, ow, f), cols
 
     @staticmethod
     def _conv_backward(dout, cols, kernels):
         """Kernel and bias gradients of a convolution."""
-        dflat = dout.transpose(0, 2, 3, 1).reshape(-1, kernels.shape[0])
+        dflat = dout.reshape(-1, kernels.shape[0])
         return (dflat.T @ cols).reshape(kernels.shape), dflat.sum(axis=0)
 
     @staticmethod
     def _conv_input_grad(dout, x_shape, kernels):
         """Gradient of a convolution's input; the first layer's input is data and needs none."""
-        n, c, h, w = x_shape
+        n, h, w, c = x_shape
         f, _, kh, kw = kernels.shape
         oh, ow = h - kh + 1, w - kw + 1
-        dflat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
-        dcols = (dflat @ kernels.reshape(f, -1)).reshape(n, oh, ow, c, kh, kw)
+        # kernel columns permuted to (ki, kj, c), so each offset's block is channel-contiguous
+        by_offset = kernels.transpose(0, 2, 3, 1).reshape(f, -1)
+        dcols = (dout.reshape(-1, f) @ by_offset).reshape(n, oh, ow, kh, kw, c)
         dx = np.zeros(x_shape)
         for i in range(kh):
             for j in range(kw):
-                dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                dx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
         return dx
 
     @staticmethod
     def _pool_forward(x):
-        n, f, h, w = x.shape
-        windows = (
-            x.reshape(n, f, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, f, h // 2, w // 2, 4)
-        )
-        best = windows.argmax(axis=-1)
-        return np.take_along_axis(windows, best[..., np.newaxis], axis=-1)[..., 0], best
+        """2x2 window maxima and each window's first-maximum index (0..3, row-major)."""
+        n, h, w, f = x.shape
+        cells = x.reshape(n, h // 2, 2, w // 2, 2, f).transpose(2, 4, 0, 1, 3, 5)
+        cells = cells.reshape(4, n, h // 2, w // 2, f)
+        pooled = np.maximum.reduce(cells)
+        miss = (cells != pooled) & (cells == cells)
+        # 0 if cell 0 is the maximum (or NaN), else 1 + (0 if cell 1 is, else 1 + ...)
+        best = miss[0] * (1 + miss[1] * (1 + miss[2].view(np.int8)))
+        return pooled, best
 
     @staticmethod
-    def _pool_backward(dout, best, x_shape):
-        n, f, h, w = x_shape
-        dwindows = np.zeros((n, f, h // 2, w // 2, 4))
-        np.put_along_axis(dwindows, best[..., np.newaxis], dout[..., np.newaxis], axis=-1)
-        return (
-            dwindows.reshape(n, f, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, f, h, w)
-        )
+    def _pool_backward(dout, best):
+        n, h, w, f = dout.shape
+        dx = np.empty((n, h, 2, w, 2, f))
+        for k in range(4):
+            np.multiply(dout, best == k, out=dx[:, :, k // 2, :, k % 2])
+        return dx.reshape(n, 2 * h, 2 * w, f)
 
     # -- full passes ------------------------------------------------------
 
@@ -151,15 +170,16 @@ class ConvClassifier:
             raise DataError(
                 f"expected {self.config.input_shape} spectrograms, got {x.shape[1:]}"
             )
-        x = x[:, np.newaxis, :, :]
+        x = x[..., np.newaxis]
 
         z1, cols1 = self._conv_forward(x, self.kernels1, self.bias1)
-        a1 = np.maximum(z1, 0.0)
-        p1, best1 = self._pool_forward(a1)
+        pooled1, best1 = self._pool_forward(z1)
+        p1 = np.maximum(pooled1, 0.0)
         z2, cols2 = self._conv_forward(p1, self.kernels2, self.bias2)
-        a2 = np.maximum(z2, 0.0)
-        p2, best2 = self._pool_forward(a2)
-        flat = p2.reshape(x.shape[0], self.flat_dim)
+        pooled2, best2 = self._pool_forward(z2)
+        p2 = np.maximum(pooled2, 0.0)
+        # (c, h, w) order for the dense layer, the row order of `weights`
+        flat = p2.transpose(0, 3, 1, 2).reshape(x.shape[0], self.flat_dim)
 
         if train and self.config.dropout > 0.0:
             if rng is None:
@@ -171,12 +191,12 @@ class ConvClassifier:
         dropped = flat * mask
 
         logits = dropped @ self.weights + self.bias
-        cache = (cols1, z1, best1, a1, p1, cols2, z2, best2, a2, p2, mask, dropped)
+        cache = (cols1, best1, p1, cols2, best2, p2, mask, dropped)
         return logits, cache
 
     def loss_and_gradients(self, x, targets, train: bool = True, rng=None):
         logits, cache = self.forward(x, train=train, rng=rng)
-        (cols1, z1, best1, a1, p1, cols2, z2, best2, a2, p2, mask, dropped) = cache
+        (cols1, best1, p1, cols2, best2, p2, mask, dropped) = cache
         n = logits.shape[0]
         targets = np.asarray(targets, dtype=np.intp)
 
@@ -193,13 +213,14 @@ class ConvClassifier:
         dbias = dlogits.sum(axis=0)
         dflat = (dlogits @ self.weights.T) * mask
 
-        dp2 = dflat.reshape(p2.shape)
-        da2 = self._pool_backward(dp2, best2, a2.shape)
-        dz2 = da2 * (z2 > 0.0)
+        # ReLU masks at pooled size: only a window's maximum gets gradient, and it is positive
+        # exactly when the pooled value is
+        _, h2, w2, f2 = p2.shape
+        dp2 = dflat.reshape(n, f2, h2, w2).transpose(0, 2, 3, 1) * (p2 > 0.0)
+        dz2 = self._pool_backward(dp2, best2)
         dkernels2, dbias2 = self._conv_backward(dz2, cols2, self.kernels2)
-        dp1 = self._conv_input_grad(dz2, p1.shape, self.kernels2)
-        da1 = self._pool_backward(dp1, best1, a1.shape)
-        dz1 = da1 * (z1 > 0.0)
+        dp1 = self._conv_input_grad(dz2, p1.shape, self.kernels2) * (p1 > 0.0)
+        dz1 = self._pool_backward(dp1, best1)
         dkernels1, dbias1 = self._conv_backward(dz1, cols1, self.kernels1)
 
         grads = {
@@ -309,16 +330,17 @@ def save_classifier(path: str | Path, model: ConvClassifier) -> None:
 
 def load_classifier(path: str | Path) -> ConvClassifier:
     (h, w, f1, f2, kernel, classes, dropout, seed), _, payload = CLASSIFIER_FORMAT.read(path)
-    if not 1 <= classes <= CATEGORY_COUNT:
-        raise DataError(f"{path}: class count {classes} outside 1..{CATEGORY_COUNT}")
-    config = ClassifierConfig(
-        input_shape=(h, w),
-        conv1_filters=f1,
-        conv2_filters=f2,
-        kernel=kernel,
-        classes=classes,
-        dropout=dropout,
-        seed=seed,
-    )
+    try:
+        config = ClassifierConfig(
+            input_shape=(h, w),
+            conv1_filters=f1,
+            conv2_filters=f2,
+            kernel=kernel,
+            classes=classes,
+            dropout=dropout,
+            seed=seed,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     shapes = parameter_shapes(config).values()
     return ConvClassifier.from_arrays(config, CLASSIFIER_FORMAT.arrays(path, payload, shapes))

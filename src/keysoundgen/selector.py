@@ -15,6 +15,7 @@ a (seed, data) pair always reproduces the same model file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.weight_playable <= 0 or self.weight_nonplayable <= 0:
-            raise DataError("loss weights must be positive")
+        for weight in (self.weight_playable, self.weight_nonplayable):
+            if not (isfinite(weight) and weight > 0):
+                raise DataError(f"loss weights must be finite and positive, got {weight}")
         if self.batch_size < 1:
             raise DataError("batch size must be at least 1")
+        if self.max_epochs < 1:
+            raise DataError(f"selector max_epochs must be at least 1, got {self.max_epochs}")
+        if not (isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(
+                f"selector learning_rate must be finite and positive, got {self.learning_rate}"
+            )
 
 
 class SelectorModel:

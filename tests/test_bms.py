@@ -214,6 +214,14 @@ def test_parse_invalid_hex_bpm_token_raises_with_its_line():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize("token", ["+1", "-1", "\u0660\u0661", "1_"])
+def test_parse_hex_bpm_token_needs_two_ascii_hex_digits(token):
+    # int(token, 16) would take a sign, Arabic-Indic digits or an underscore
+    with pytest.raises(BmsParseError, match="invalid hex BPM token") as info:
+        parse_bms(f"#BPM 120\n#WAV01 a.wav\n#00101:01\n#00103:{token}\n")
+    assert info.value.line == 4
+
+
 def test_parse_lowercase_data_matches_uppercase():
     header = "#BPM 120\n#BPM0A 150\n#WAVZZ a.wav\n#WAVAB b.wav\n"
     upper = header + "#00111:ZZ00AB00\n#00101:ABZZ\n#00108:0A00\n#00103:00FF\n"

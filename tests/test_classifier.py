@@ -39,7 +39,7 @@ SMALL = ClassifierConfig(
 
 
 def direct_convolution(x, kernels, bias):
-    """Nested-loop valid convolution, the slow way."""
+    """Nested-loop valid convolution, the slow way (channel-first: n, c, h, w)."""
     n, c, h, w = x.shape
     f, _, kh, kw = kernels.shape
     out = np.zeros((n, f, h - kh + 1, w - kw + 1))
@@ -52,6 +52,27 @@ def direct_convolution(x, kernels, bias):
     return out
 
 
+def direct_input_gradient(dout, kernels, x_shape):
+    """Nested-loop gradient of a valid convolution's input (channel-first)."""
+    n, f, oh, ow = dout.shape
+    kh, kw = kernels.shape[2:]
+    dx = np.zeros(x_shape)
+    for img in range(n):
+        for filt in range(f):
+            for i in range(oh):
+                for j in range(ow):
+                    dx[img, :, i : i + kh, j : j + kw] += dout[img, filt, i, j] * kernels[filt]
+    return dx
+
+
+def to_channel_last(x):
+    return x.transpose(0, 2, 3, 1)
+
+
+def to_channel_first(x):
+    return x.transpose(0, 3, 1, 2)
+
+
 # -- layer mechanics ----------------------------------------------------------
 
 def test_conv_forward_matches_direct_convolution():
@@ -59,22 +80,69 @@ def test_conv_forward_matches_direct_convolution():
     x = rng.normal(size=(2, 3, 8, 8))
     kernels = rng.normal(size=(4, 3, 3, 3))
     bias = rng.normal(size=4)
-    fast, _ = ConvClassifier._conv_forward(x, kernels, bias)
-    assert np.allclose(fast, direct_convolution(x, kernels, bias), atol=1e-12)
+    fast, _ = ConvClassifier._conv_forward(to_channel_last(x), kernels, bias)
+    assert np.allclose(to_channel_first(fast), direct_convolution(x, kernels, bias), atol=1e-12)
+
+
+def test_conv_input_gradient_matches_nested_loops():
+    rng = np.random.default_rng(6)
+    x_shape = (2, 3, 9, 8)
+    kernels = rng.normal(size=(4, 3, 3, 2))
+    dout = rng.normal(size=(2, 4, 7, 7))
+    n, c, h, w = x_shape
+    fast = ConvClassifier._conv_input_grad(to_channel_last(dout), (n, h, w, c), kernels)
+    assert np.allclose(to_channel_first(fast), direct_input_gradient(dout, kernels, x_shape),
+                       atol=1e-12)
 
 
 def test_pool_forward_takes_window_maxima():
-    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
     pooled, _ = ConvClassifier._pool_forward(x)
     assert pooled.reshape(2, 2).tolist() == [[5.0, 7.0], [13.0, 15.0]]
 
 
+def argmax_pool(x):
+    """Window maxima and indices by np.argmax over each row-major 2x2 window."""
+    n, h, w, f = x.shape
+    windows = (
+        x.reshape(n, h // 2, 2, w // 2, 2, f)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(n, h // 2, w // 2, f, 4)
+    )
+    best = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, best[..., np.newaxis], axis=-1)[..., 0], best
+
+
+@pytest.mark.parametrize("nan_share", [0.0, 0.3])
+def test_pool_picks_the_first_maximum_like_argmax(nan_share):
+    rng = np.random.default_rng(8)
+    # three values per cell, so most windows hold ties
+    x = rng.integers(0, 3, size=(4, 6, 8, 5)).astype(np.float64)
+    x[rng.random(x.shape) < nan_share] = np.nan
+    pooled, best = ConvClassifier._pool_forward(x)
+    expected, expected_best = argmax_pool(x)
+    assert np.isnan(expected).any() == (nan_share > 0)
+    assert np.array_equal(best, expected_best)
+    assert np.array_equal(pooled, expected, equal_nan=True)
+
+
+def test_pool_picks_the_first_nan_in_window_order():
+    # every pair of window cells, with the NaN before and after a larger number
+    for first in range(3):
+        for later in range(first + 1, 4):
+            window = np.zeros(4)
+            window[first], window[later] = np.nan, 7.0
+            assert ConvClassifier._pool_forward(window.reshape(1, 2, 2, 1))[1].item() == first
+            window[first], window[later] = 7.0, np.nan
+            assert ConvClassifier._pool_forward(window.reshape(1, 2, 2, 1))[1].item() == later
+
+
 def test_pool_backward_routes_to_first_max_only():
     # a window of equal values must send its whole gradient to one cell
-    x = np.ones((1, 1, 2, 2))
+    x = np.ones((1, 2, 2, 1))
     pooled, best = ConvClassifier._pool_forward(x)
     dout = np.full(pooled.shape, 5.0)
-    dx = ConvClassifier._pool_backward(dout, best, x.shape)
+    dx = ConvClassifier._pool_backward(dout, best)
     assert dx.sum() == 5.0
     assert (dx != 0.0).sum() == 1
     assert dx[0, 0, 0, 0] == 5.0

@@ -385,6 +385,63 @@ def test_train_classifier_and_classify(tmp_path, wav_dir, capsys):
         assert category
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("batch_size", "0", "batch_size must be at least 1, got 0"),
+        ("conv1_filters", "0", "conv1_filters must be at least 1, got 0"),
+        ("conv2_filters", "-1", "conv2_filters must be at least 1, got -1"),
+        ("kernel", "0", "kernel must be at least 1, got 0"),
+        ("epochs", "0", "epochs must be at least 1, got 0"),
+        ("classes", "99", "class count 99 outside 1..27"),
+        ("classes", "0", "class count 0 outside 1..27"),
+        ("dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
+        ("dropout", "-0.5", "dropout must be in [0, 1), got -0.5"),
+        ("learning_rate", "nan", "learning_rate must be finite and positive, got nan"),
+        ("learning_rate", "inf", "learning_rate must be finite and positive, got inf"),
+        ("learning_rate", "0", "learning_rate must be finite and positive, got 0.0"),
+        ("holdout_fraction", "nan", "holdout_fraction must be in (0, 1), got nan"),
+        ("holdout_fraction", "1", "holdout_fraction must be in (0, 1), got 1.0"),
+        ("holdout_fraction", "0", "holdout_fraction must be in (0, 1), got 0.0"),
+    ],
+)
+def test_out_of_range_classifier_config_exits_two(tmp_path, wav_dir, capsys, key, value, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"classifier.{key} = {value}\n", encoding="utf-8")
+    model_path = tmp_path / "m.bin"
+    code = main(
+        ["--config", str(config), "train-classifier", str(wav_dir), "-o", str(model_path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_epochs", "0", "max_epochs must be at least 1, got 0"),
+        ("learning_rate", "nan", "learning_rate must be finite and positive, got nan"),
+        ("learning_rate", "-0.1", "learning_rate must be finite and positive, got -0.1"),
+        ("weight_nonplayable", "nan", "loss weights must be finite and positive, got nan"),
+    ],
+)
+def test_out_of_range_selector_config_exits_two(tmp_path, corpus_dir, capsys, key, value, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"selector.{key} = {value}\n", encoding="utf-8")
+    model_path = tmp_path / "selector.bin"
+    code = main(
+        ["--config", str(config), "train-selector", str(corpus_dir), "-o", str(model_path)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not model_path.exists()
+
+
 def test_train_classifier_skips_unlabeled(tmp_path, wav_dir, capsys):
     directory = tmp_path / "mixed"
     directory.mkdir()

@@ -1,5 +1,6 @@
 """Golden outputs: sha256 pins of round-tripped BMS, feature matrices, curves,
-placed charts, self-fed rollout decisions and no-summary model decisions.
+placed charts, self-fed rollout decisions, no-summary model decisions and
+classifier decisions.
 
 A change that must keep outputs byte- or bit-identical keeps these digests.
 A change that alters an output on purpose updates the pin and says why.
@@ -9,11 +10,19 @@ Nothing here trains to convergence, so the whole file runs in a few seconds.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from keysoundgen.audio import load_taxonomy
 from keysoundgen.bms import emit_bms_bytes, parse_bms_bytes
-from keysoundgen.corpus import CorpusConfig, build_corpus, random_chart, random_score
+from keysoundgen.cnn import ClassifierConfig, train_classifier
+from keysoundgen.corpus import (
+    CorpusConfig,
+    build_corpus,
+    random_chart,
+    random_score,
+    tone_corpus,
+)
 from keysoundgen.dataset import featurize_corpus, resolve_labels, scratch_sample_ids
 from keysoundgen.difficulty import curve_to_text, difficulty_curve
 from keysoundgen.features import NO_SUMMARY_MODE, build_features
@@ -113,3 +122,21 @@ def test_no_summary_decisions_are_pinned(taxonomy):
             digest.update(model.forward(NO_SUMMARY_MODE.apply(example.features)).tobytes())
             digest.update(predict_flags(model, example.features).tobytes())
     assert digest.hexdigest() == "9ad9d8ec58b6bd2199c29c2db5d599a20dcbb296ba9889c3e6fca1bbe6446e41"
+
+
+def test_classifier_decisions_are_pinned():
+    """Labels a classifier trained four epochs gives to unseen tones.
+
+    Four epochs at the default step size leave the model far from converged,
+    so its 30 decisions still span three labels and move with any change in
+    the training arithmetic that is large enough to flip one of them.
+    """
+    model, report = train_classifier(
+        tone_corpus(per_class=10, seed=0), ClassifierConfig(epochs=4, seed=0)
+    )
+    probe = np.stack([spec.values for spec, _ in tone_corpus(per_class=10, seed=1)])
+    labels = model.predict(probe).astype("<i8")
+    assert report.holdout_accuracy == 0.0
+    assert sorted(set(labels.tolist())) == [8, 17, 22]
+    digest = hashlib.sha256(labels.tobytes()).hexdigest()
+    assert digest == "7d6986db1ad560c49ca9b172d0e0af1c86cc8a2a86924773af2acdc5cc486c47"
