@@ -133,7 +133,8 @@ def _build_parser() -> _Parser:
     p.add_argument("directory", help="directory of .bms charts")
     p.add_argument("--table", default=None, help="write the comparison table here")
     p.add_argument("--difficulty-f1", default=None, help="write difficulty-vs-F1 pairs here")
-    p.add_argument("--variant", default="ff_full", help="variant for the difficulty file")
+    names = [variant.name for variant in DEFAULT_VARIANTS]
+    p.add_argument("--variant", choices=names, default="ff_full", help="difficulty file's variant")
     p.add_argument("--taxonomy", default=None)
 
     p = commands.add_parser("synth-corpus", help="write a synthetic chart corpus")

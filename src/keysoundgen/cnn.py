@@ -1,9 +1,9 @@
 """Convolutional instrument classifier, implemented directly on numpy.
 
 Two valid-padding convolution layers (ReLU + 2x2 max-pool after each)
-feed one fully connected layer; softmax cross-entropy trains with plain
-gradient descent at step size 0.01 and 50% inverted dropout on the FC
-input.  Activations stay channel-last (n, h, w, c) up to the dense layer's
+feed one fully connected layer; softmax cross-entropy trains with the
+minibatch loop of sgd.py at step size 0.01 and 50% inverted dropout on the
+FC input.  Activations stay channel-last (n, h, w, c) up to the dense layer's
 (c, h, w) flatten; convolutions are im2col products over (c, kh, kw).
 Max-pool takes each window's first maximum in row-major order, NaN
 counting as the maximum as in np.argmax, and backward routes the whole
@@ -16,6 +16,7 @@ All arithmetic is float64; model files round to little-endian float32.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite, prod
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import CATEGORY_COUNT, Spectrogram
 from .errors import DataError
 from .framing import BinaryFormat
+from .sgd import sgd_epoch
 
 
 @dataclass(frozen=True)
@@ -233,24 +235,13 @@ class ConvClassifier:
         }
         return loss, grads
 
-    def step(self, grads, learning_rate: float) -> None:
-        for name, grad in grads.items():
-            param = getattr(self, name)
-            param -= learning_rate * grad
-
     def predict(self, x) -> np.ndarray:
         logits, _ = self.forward(x, train=False)
         return logits.argmax(axis=1)
 
-    def parameters(self):
-        return {
-            "kernels1": self.kernels1,
-            "bias1": self.bias1,
-            "kernels2": self.kernels2,
-            "bias2": self.bias2,
-            "weights": self.weights,
-            "bias": self.bias,
-        }
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Name -> array of every parameter, in model-file order."""
+        return {name: getattr(self, name) for name in parameter_shapes(self.config)}
 
 
 @dataclass
@@ -291,18 +282,15 @@ def train_classifier(corpus, config: ClassifierConfig = ClassifierConfig()):
     holdout, train = order[:holdout_count], order[holdout_count:]
 
     model = ConvClassifier(config, rng)
+    params = model.parameters()
+    # each epoch's permutation is drawn before its dropout masks, from the same rng
+    step = partial(model.loss_and_gradients, train=True, rng=rng)
     losses = []
     for _ in range(config.epochs):
-        epoch_order = train[rng.permutation(len(train))]
-        epoch_loss = 0.0
-        for start in range(0, len(epoch_order), config.batch_size):
-            batch = epoch_order[start : start + config.batch_size]
-            loss, grads = model.loss_and_gradients(
-                inputs[batch], labels[batch], train=True, rng=rng
-            )
-            model.step(grads, config.learning_rate)
-            epoch_loss += loss * len(batch)
-        losses.append(epoch_loss / len(train))
+        order = train[rng.permutation(len(train))]
+        losses.append(
+            sgd_epoch(params, inputs, labels, order, config.batch_size, config.learning_rate, step)
+        )
 
     predictions = model.predict(inputs[holdout])
     accuracy = float((predictions == labels[holdout]).mean())

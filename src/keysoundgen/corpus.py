@@ -12,9 +12,9 @@ trailing summary features.  Both sections appear in every song, keeping
 the playable share (and so the strain profile) level across the two
 conventions rather than leaking them through the difficulty input.
 
-The module also builds fuzz charts for round-trip testing, fixed-ratio
-charts for metric anchors, and seeded tone waveforms (sine / square /
-noise) for classifier corpora and sample WAV generation.
+The module also builds fuzz charts for round-trip testing and seeded
+tone waveforms (sine / square / noise) for classifier corpora and sample
+WAV generation.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ from .bms import (
 )
 from .errors import DataError
 from .placement import apply_selection
-from .timing import TimeGrid
 
-ALWAYS_PLAYABLE = ("kick", "snare")
 ALWAYS_BACKGROUND = ("hat", "noise", "fx")
 SECTIONS = (
     ("bass", "piano", "lead", "bell"),
@@ -57,6 +55,16 @@ class CorpusConfig:
     seed: int = 0
     min_measures: int = 12
     max_measures: int = 20
+
+    def __post_init__(self):
+        if self.songs < 1:
+            raise DataError(f"corpus songs must be at least 1, got {self.songs}")
+        # BMS numbers measures 0..999, and a chart's odd-length measure is drawn from 1..measures-1
+        if not 2 <= self.min_measures <= self.max_measures <= 1000:
+            raise DataError(
+                "corpus measures need 2 <= min_measures <= max_measures <= 1000, "
+                f"got {self.min_measures} and {self.max_measures}"
+            )
 
 
 @dataclass(frozen=True)
@@ -248,73 +256,6 @@ def random_chart(rng: random.Random) -> Chart:
         difficulty_label=str(rng.randint(1, 12)) if rng.random() < 0.5 else None,
     )
     return make_chart(objects, table, events, lengths, metadata)
-
-
-def random_score(rng: random.Random, max_group: int = 8):
-    """A background-only chart plus selection flags (≤ max_group per instant).
-
-    This is the placement fuzz input: flags say which objects the
-    selector would have marked playable.
-    """
-    sample_count = rng.randint(2, 10)
-    ids = rng.sample(range(1, 1296), sample_count)
-    table = {sid: f"s{sid:04d}.wav" for sid in ids}
-
-    objects = []
-    for measure in range(rng.randint(2, 6)):
-        for i in range(16):
-            for sid in rng.sample(ids, rng.randint(0, min(4, len(ids)))):
-                objects.append(
-                    TimedObject(
-                        measure, SIXTEENTHS[i], SampleRef(sid, table[sid]), Lane.BG, False
-                    )
-                )
-    if not objects:
-        sid = ids[0]
-        objects.append(TimedObject(0, Fraction(0), SampleRef(sid, table[sid]), Lane.BG, False))
-
-    chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 150.0)])
-
-    flags = [False] * len(chart.objects)
-    for group in TimeGrid(chart).instant_groups(range(len(chart.objects))):
-        for i in rng.sample(group, rng.randint(0, min(max_group, len(group)))):
-            flags[i] = True
-    return chart, flags
-
-
-def ratio_chart(total: int = 200, playable_ratio: float = 0.3) -> Chart:
-    """A chart whose playable share is exactly playable_ratio.
-
-    total * playable_ratio must come out integral (e.g. multiples of 10
-    for 0.3), so metric anchors hold exactly.
-    """
-    playable_count = total * Fraction(playable_ratio).limit_denominator(1000)
-    if total <= 0 or playable_count.denominator != 1:
-        raise DataError(
-            f"cannot make exactly {playable_ratio:.0%} of {total} objects playable"
-        )
-    period = total // int(playable_count) if playable_count else total
-
-    table = {1: "kick00.wav", 2: "pad00.wav"}
-    objects = []
-    keys = [Lane.K1, Lane.K2, Lane.K3, Lane.K4, Lane.K5, Lane.K6, Lane.K7]
-    placed = 0
-    for i in range(total):
-        measure, slot = divmod(i, 16)
-        playable = i % period == 0 and placed < int(playable_count)
-        if playable:
-            lane = keys[placed % len(keys)]
-            placed += 1
-            sid = 1
-        else:
-            lane = Lane.BG
-            sid = 2
-        objects.append(
-            TimedObject(measure, SIXTEENTHS[slot], SampleRef(sid, table[sid]), lane, playable)
-        )
-    if placed != int(playable_count):
-        raise DataError(f"ratio chart construction placed {placed} playables")
-    return make_chart(objects, table, [BpmEvent(0, Fraction(0), 150.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Playable/non-playable selection network.
 
 A small dense stack (64, 32, 16, 2 with ReLU between layers and a linear
-final pair) trained by mini-batch gradient descent on weighted MSE:
+final pair) trained by the minibatch loop of sgd.py on weighted MSE:
 playable examples weigh 1.0, non-playable 0.2, countering the class
 imbalance of real charts.  The playable node is output 0; prediction is
 the argmax, with exact ties going to non-playable (the majority class).
@@ -25,6 +25,7 @@ from .difficulty import DifficultyCurve
 from .errors import DataError
 from .features import FULL_MODE, FeatureMode, build_features
 from .framing import BinaryFormat
+from .sgd import sgd_epoch
 from .timing import TimeGrid
 
 LAYER_WIDTHS = (64, 32, 16, 2)
@@ -213,24 +214,21 @@ def fit(
     learning_rate = config.learning_rate
     best = np.inf
     bad_epochs = 0
+    params = dict(enumerate(model.weights + model.biases))
+
+    def step(x, flags):
+        loss, grad_w, grad_b = _loss_and_gradients(model, x, flags, config)
+        return loss, grad_w + grad_b
 
     for epoch in range(config.max_epochs):
         order = rng.permutation(len(train_x))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grad_w, grad_b = _loss_and_gradients(
-                model, train_x[batch], train_flags[batch], config
-            )
-            for i in range(len(model.weights)):
-                model.weights[i] -= learning_rate * grad_w[i]
-                model.biases[i] -= learning_rate * grad_b[i]
-            epoch_loss += loss * len(batch)
-
+        train_loss = sgd_epoch(
+            params, train_x, train_flags, order, config.batch_size, learning_rate, step
+        )
         val_out = model.forward(val_x)
         val_loss = weighted_mse(val_out, val_flags, config)
         val_f1 = score_chart(val_out[:, 0] > val_out[:, 1], val_flags).f1
-        report.rows.append(EpochRow(epoch, epoch_loss / len(train_x), val_loss, val_f1))
+        report.rows.append(EpochRow(epoch, train_loss, val_loss, val_f1))
 
         if val_loss < best - config.tolerance:
             best = val_loss

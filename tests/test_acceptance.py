@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 import conftest
+from charts import random_score, ratio_chart
 
 from keysoundgen.audio import load_taxonomy
 from keysoundgen.bms import (
@@ -32,8 +33,6 @@ from keysoundgen.corpus import (
     CorpusConfig,
     build_corpus,
     random_chart,
-    random_score,
-    ratio_chart,
     tone_corpus,
 )
 from keysoundgen.dataset import featurize_corpus, resolve_labels

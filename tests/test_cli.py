@@ -345,6 +345,23 @@ def test_evaluate_compares_variants(tmp_path, corpus_dir, capsys):
     assert pairs_path.read_text("utf-8").strip()
 
 
+def test_evaluate_rejects_unknown_variant_before_training(tmp_path, corpus_dir, capsys):
+    table_path = tmp_path / "table.tsv"
+    code = main(
+        [
+            "evaluate", str(corpus_dir),
+            "--table", str(table_path),
+            "--difficulty-f1", str(tmp_path / "pairs.tsv"),
+            "--variant", "nosuch",
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "invalid choice: 'nosuch'" in captured.err
+    assert captured.out == ""
+    assert not table_path.exists()
+
+
 # -- audio commands -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -440,6 +457,32 @@ def test_out_of_range_selector_config_exits_two(tmp_path, corpus_dir, capsys, ke
     assert message in err
     assert "Traceback" not in err
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, flags, message",
+    [
+        ("corpus.songs = 0", [], "songs must be at least 1, got 0"),
+        ("", ["--songs", "-3"], "songs must be at least 1, got -3"),
+        ("corpus.min_measures = 30", [], "min_measures <= max_measures <= 1000, got 30 and 20"),
+        (
+            "corpus.min_measures = 1\ncorpus.max_measures = 1",
+            [],
+            "need 2 <= min_measures <= max_measures <= 1000, got 1 and 1",
+        ),
+        ("corpus.max_measures = 1001", [], "max_measures <= 1000, got 12 and 1001"),
+    ],
+)
+def test_out_of_range_corpus_config_exits_two(tmp_path, capsys, settings, flags, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(settings + "\n", encoding="utf-8")
+    directory = tmp_path / "corpus"
+    code = main(["--config", str(config), "synth-corpus", str(directory), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not directory.exists()
 
 
 def test_train_classifier_skips_unlabeled(tmp_path, wav_dir, capsys):

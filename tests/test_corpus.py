@@ -9,7 +9,6 @@ import pytest
 from keysoundgen.audio import label_from_filename, load_taxonomy, load_wave
 from keysoundgen.corpus import (
     ALWAYS_BACKGROUND,
-    ALWAYS_PLAYABLE,
     SECTIONS,
     CorpusConfig,
     TONE_CATEGORIES,
@@ -18,12 +17,12 @@ from keysoundgen.corpus import (
     instrument_wave,
     make_tone,
     random_chart,
-    random_score,
-    ratio_chart,
     tone_corpus,
     write_corpus_samples,
 )
 from keysoundgen.errors import DataError
+
+from charts import ALWAYS_PLAYABLE, random_score, ratio_chart
 
 TAXONOMY = load_taxonomy()
 SMALL = CorpusConfig(songs=8, seed=3, min_measures=4, max_measures=6)

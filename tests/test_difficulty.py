@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from keysoundgen.bms import BpmEvent, Lane, SampleRef, TimedObject, make_chart
-from keysoundgen.corpus import random_chart, random_score
+from keysoundgen.corpus import random_chart
 from keysoundgen import difficulty
 from keysoundgen.difficulty import (
     DifficultyCurve,
@@ -21,6 +21,8 @@ from keysoundgen.difficulty import (
 )
 from keysoundgen.errors import DataError
 from keysoundgen.timing import TimeGrid
+
+from charts import random_score
 
 CFG = StrainConfig()
 

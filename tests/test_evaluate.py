@@ -6,7 +6,7 @@ import re
 import pytest
 
 from keysoundgen.audio import load_taxonomy
-from keysoundgen.corpus import CorpusConfig, build_corpus, ratio_chart
+from keysoundgen.corpus import CorpusConfig, build_corpus
 from keysoundgen.dataset import featurize_corpus
 from keysoundgen.errors import DataError
 from keysoundgen.evaluate import (
@@ -19,6 +19,8 @@ from keysoundgen.evaluate import (
 )
 from keysoundgen.features import FULL_MODE
 from keysoundgen.selector import TrainConfig, baseline_all_playable, make_split
+
+from charts import ratio_chart
 
 TAXONOMY = load_taxonomy()
 

@@ -1,6 +1,6 @@
 """Golden outputs: sha256 pins of round-tripped BMS, feature matrices, curves,
-placed charts, self-fed rollout decisions, no-summary model decisions and
-classifier decisions.
+placed charts, selector and classifier model files, self-fed rollout
+decisions, no-summary model decisions and classifier decisions.
 
 A change that must keep outputs byte- or bit-identical keeps these digests.
 A change that alters an output on purpose updates the pin and says why.
@@ -15,12 +15,11 @@ import pytest
 
 from keysoundgen.audio import load_taxonomy
 from keysoundgen.bms import emit_bms_bytes, parse_bms_bytes
-from keysoundgen.cnn import ClassifierConfig, train_classifier
+from keysoundgen.cnn import ClassifierConfig, save_classifier, train_classifier
 from keysoundgen.corpus import (
     CorpusConfig,
     build_corpus,
     random_chart,
-    random_score,
     tone_corpus,
 )
 from keysoundgen.dataset import featurize_corpus, resolve_labels, scratch_sample_ids
@@ -32,9 +31,12 @@ from keysoundgen.selector import (
     make_split,
     predict_chart,
     predict_flags,
+    save_selector,
     train_selector,
 )
 from keysoundgen.timing import TimeGrid
+
+from charts import random_score
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +86,35 @@ def test_placement_is_pinned(corpus_charts):
     assert digest.hexdigest() == "7da10ea68cea09b7c6b967d47773fc2017b4fd2698cdd0526c0943591c9ceca0"
 
 
-def test_self_rollout_decisions_are_pinned(taxonomy):
-    examples = featurize_corpus(build_corpus(CorpusConfig(songs=10, seed=0)), taxonomy)
+@pytest.fixture(scope="module")
+def examples(taxonomy):
+    return featurize_corpus(build_corpus(CorpusConfig(songs=10, seed=0)), taxonomy)
+
+
+@pytest.fixture(scope="module")
+def selectors(examples):
+    """Full-mode selectors after three epochs, normalize off then on."""
     split = make_split([example.song for example in examples], 0)
+    return [
+        train_selector(examples, split, TrainConfig(max_epochs=3, normalize=normalize, seed=0))[0]
+        for normalize in (False, True)
+    ]
+
+
+def test_selector_model_files_are_pinned(selectors, tmp_path):
+    digests = []
+    for model in selectors:
+        save_selector(tmp_path / "selector.bin", model)
+        digests.append(hashlib.sha256((tmp_path / "selector.bin").read_bytes()).hexdigest())
+    assert digests == [
+        "d8b7e3a0fa2a5e55f83a8ad3c48565971b5ecfc0e1ff73ca049fdf6a5fdfe845",
+        "cec3ce1ff55ddb72d5310f7e64852fc6c8ec89b0a2a256d480d6b096b79a6a9f",
+    ]
+
+
+def test_self_rollout_decisions_are_pinned(examples, selectors):
     digest = hashlib.sha256()
-    for normalize in (False, True):
-        model, _ = train_selector(
-            examples, split, TrainConfig(max_epochs=3, normalize=normalize, seed=0)
-        )
+    for model in selectors:
         for example in examples[:6]:
             chart = example.chart
             flags = predict_chart(
@@ -103,9 +126,8 @@ def test_self_rollout_decisions_are_pinned(taxonomy):
     assert digest.hexdigest() == "82458b051a458246a71efdfcec3e08e6fb89c848c5815c7fb6ed3bb91cdb65f5"
 
 
-def test_no_summary_decisions_are_pinned(taxonomy):
+def test_no_summary_decisions_are_pinned(examples):
     """ff_free in evaluate: a selector without summary features scores the test split."""
-    examples = featurize_corpus(build_corpus(CorpusConfig(songs=10, seed=0)), taxonomy)
     split = make_split([example.song for example in examples], 0)
     test = [example for example in examples if split.assignment[example.song] == "test"]
     digest = hashlib.sha256()
@@ -124,8 +146,8 @@ def test_no_summary_decisions_are_pinned(taxonomy):
     assert digest.hexdigest() == "9ad9d8ec58b6bd2199c29c2db5d599a20dcbb296ba9889c3e6fca1bbe6446e41"
 
 
-def test_classifier_decisions_are_pinned():
-    """Labels a classifier trained four epochs gives to unseen tones.
+def test_classifier_decisions_are_pinned(tmp_path):
+    """Labels a classifier trained four epochs gives to unseen tones, and its model file.
 
     Four epochs at the default step size leave the model far from converged,
     so its 30 decisions still span three labels and move with any change in
@@ -140,3 +162,6 @@ def test_classifier_decisions_are_pinned():
     assert sorted(set(labels.tolist())) == [8, 17, 22]
     digest = hashlib.sha256(labels.tobytes()).hexdigest()
     assert digest == "7d6986db1ad560c49ca9b172d0e0af1c86cc8a2a86924773af2acdc5cc486c47"
+    save_classifier(tmp_path / "classifier.bin", model)
+    digest = hashlib.sha256((tmp_path / "classifier.bin").read_bytes()).hexdigest()
+    assert digest == "9910a59a40dbebe2ca93b7dff04d6f2222d792498da2c5f4878717e8233ac620"

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 from keysoundgen.bms import BpmEvent, Lane, SampleRef, TimedObject, make_chart
-from keysoundgen.corpus import random_score
 from keysoundgen.errors import PlacementOverflowError
 from keysoundgen.placement import (
     CONTROL_LANES,
     apply_selection,
     assign_controls,
 )
+
+from charts import random_score
 from keysoundgen.timing import TimeGrid
 
 

@@ -203,6 +203,24 @@ def test_fit_runs_out_of_epochs_without_plateau():
     assert report.final_learning_rate == config.learning_rate
 
 
+def test_fit_runs_one_forward_per_epoch_on_the_validation_set(monkeypatch):
+    """Steps use the cached forward pass; perfbench reads epoch boundaries from these calls."""
+    calls = []
+    forward = SelectorModel.forward
+
+    def counting_forward(self, x):
+        calls.append(len(x))
+        return forward(self, x)
+
+    monkeypatch.setattr(SelectorModel, "forward", counting_forward)
+    rng = np.random.default_rng(3)
+    x, flags = toy_data(rng, 64)
+    val_x, val_flags = toy_data(rng, 10)
+    config = TrainConfig(batch_size=16, max_epochs=5, seed=3)
+    report = fit(SelectorModel(BARE_MODE, seed=3), x, flags, val_x, val_flags, config)
+    assert calls == [10] * len(report.rows)
+
+
 def test_fit_rejects_empty_partitions():
     model = SelectorModel(BARE_MODE, seed=0)
     with pytest.raises(DataError):
