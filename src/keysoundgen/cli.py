@@ -152,10 +152,6 @@ def _write_or_print(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _seed(args, default: int = 0) -> int:
-    return default if args.seed is None else args.seed
-
-
 def _wav_files(directory: str) -> list[Path]:
     paths = sorted(p for p in Path(directory).iterdir() if p.suffix.lower() == ".wav")
     if not paths:
@@ -212,7 +208,7 @@ def _cmd_features(args, config: Config) -> int:
 
 
 def _cmd_train_classifier(args, config: Config) -> int:
-    classifier_config = replace(config.classifier(), seed=_seed(args))
+    classifier_config = config.classifier()
     taxonomy = load_taxonomy(args.taxonomy)
     manifest = None
     if args.labels is not None:
@@ -249,7 +245,7 @@ def _load_examples(directory: str, taxonomy_path, strain_config):
 
 
 def _cmd_train_selector(args, config: Config) -> int:
-    train_config = replace(config.selector(), seed=_seed(args))
+    train_config = config.selector()
     examples = _load_examples(args.directory, args.taxonomy, config.strain())
     split = make_split([e.song for e in examples], train_config.seed)
     model, report = train_selector(examples, split, train_config, MODE_NAMES[args.mode])
@@ -297,7 +293,7 @@ def _cmd_generate(args, config: Config) -> int:
 
 
 def _cmd_evaluate(args, config: Config) -> int:
-    train_config = replace(config.selector(), seed=_seed(args))
+    train_config = config.selector()
     examples = _load_examples(args.directory, args.taxonomy, config.strain())
     split = make_split([e.song for e in examples], train_config.seed)
     report = run_experiment(examples, split, train_config, DEFAULT_VARIANTS)
@@ -313,7 +309,7 @@ def _cmd_evaluate(args, config: Config) -> int:
 
 
 def _cmd_synth_corpus(args, config: Config) -> int:
-    corpus_config = replace(config.corpus(), seed=_seed(args))
+    corpus_config = config.corpus()
     if args.songs is not None:
         corpus_config = replace(corpus_config, songs=args.songs)
     entries = build_corpus(corpus_config)
@@ -352,6 +348,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = Config() if args.config is None else Config.from_file(args.config)
+        if args.seed is not None:  # the flag wins over the file's seed keys
+            for section in ("corpus", "selector", "classifier"):
+                config.values[f"{section}.seed"] = str(args.seed)
         return _COMMANDS[args.command](args, config)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -59,6 +59,8 @@ class ClassifierConfig:
             raise DataError(
                 f"classifier holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
             )
+        if not 0 <= self.seed < 2**64:
+            raise DataError(f"classifier seed must be in [0, 2**64), got {self.seed}")
 
 
 def _pooled(size: int, kernel: int) -> int:

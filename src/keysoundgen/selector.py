@@ -44,10 +44,14 @@ class TrainConfig:
     learning_rate: float = 0.01
     max_epochs: int = 150
     tolerance: float = 1e-5
-    normalize: bool = False
+    normalize: bool = True  # kept so files that set it still load; only True is valid
     seed: int = 0
 
     def __post_init__(self):
+        if not self.normalize:
+            raise DataError("selector normalize must be true: training always z-scores")
+        if not 0 <= self.seed < 2**64:
+            raise DataError(f"selector seed must be in [0, 2**64), got {self.seed}")
         for weight in (self.weight_playable, self.weight_nonplayable):
             if not (isfinite(weight) and weight > 0):
                 raise DataError(f"loss weights must be finite and positive, got {weight}")
@@ -297,10 +301,10 @@ def train_selector(
     examples need .song, .features (n, 299) and .playable (n,) attributes;
     charts of validation/test songs never touch the gradient.
 
-    With config.normalize the raw columns (difficulty and alignment dwarf
-    the 0/1 features) are z-scored against the training partition for the
-    duration of the fit, then the affine transform is folded into the
-    first layer, so the returned model still consumes raw feature rows.
+    The raw columns (difficulty and alignment dwarf the 0/1 features) are
+    z-scored against the training partition for the duration of the fit,
+    then the affine transform is folded into the first layer, so the
+    returned model still consumes raw feature rows.
     """
     parts: dict[str, list] = {name: [] for name in SPLIT_NAMES}
     for example in examples:
@@ -318,23 +322,17 @@ def train_selector(
     model = SelectorModel(mode, config.seed)
     train_x, train_y = stack(parts["train"])
     val_x, val_y = stack(parts["validation"])
-    if not config.normalize:
-        report = fit(model, train_x, train_y, val_x, val_y, config)
-        return model, report
-
     # one column at a time, so each statistic is a pairwise sum over its
     # column and does not depend on the matrix's memory layout
     shift = np.array([column.mean() for column in train_x.T])
     scale = np.array([column.std() for column in train_x.T])
     scale[scale < 1e-9] = 1.0
-    report = fit(
-        model,
-        (train_x - shift) / scale,
-        train_y,
-        (val_x - shift) / scale,
-        val_y,
-        config,
-    )
+    # both matrices are fresh concatenations, so scaling in place touches
+    # no caller's array
+    for x in (train_x, val_x):
+        x -= shift
+        x /= scale
+    report = fit(model, train_x, train_y, val_x, val_y, config)
     model.weights[0] = model.weights[0] / scale[:, None]
     model.biases[0] = model.biases[0] - shift @ model.weights[0]
     return model, report

@@ -259,6 +259,53 @@ def test_synth_corpus_is_seed_deterministic(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def corpus_bytes(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.bms"))}
+
+
+def test_seed_flag_wins_over_config_seed_keys(tmp_path, capsys):
+    config = tmp_path / "seeded.cfg"
+    config.write_text("corpus.seed = 5\n", encoding="utf-8")
+    runs = {
+        "file": ["--config", str(config)],
+        "flag": ["--seed", "5"],
+        "default": [],
+        "both": ["--config", str(config), "--seed", "-7"],
+        "negative": ["--seed", "-7"],
+    }
+    written = {}
+    for name, flags in runs.items():
+        directory = tmp_path / name
+        assert main([*flags, "synth-corpus", str(directory), "--songs", "2"]) == 0
+        written[name] = corpus_bytes(directory)
+    assert written["file"] == written["flag"]
+    assert written["file"] != written["default"]
+    assert written["both"] == written["negative"]
+    assert written["both"] != written["file"]
+
+
+def test_selector_seed_key_reaches_the_model_file(tmp_path, corpus_dir, capsys):
+    config = tmp_path / "seeded.cfg"
+    config.write_text("selector.max_epochs = 1\nselector.seed = 3\n", encoding="utf-8")
+    model_path = tmp_path / "selector.bin"
+    code = main(["--config", str(config), "train-selector", str(corpus_dir), "-o", str(model_path)])
+    assert code == 0
+    assert load_selector(model_path).seed == 3
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["train-selector", "train-classifier"])
+def test_seed_flag_outside_uint64_exits_two(tmp_path, corpus_dir, wav_dir, capsys, seed, command):
+    directory = corpus_dir if command == "train-selector" else wav_dir
+    model_path = tmp_path / "model.bin"
+    code = main(["--seed", seed, command, str(directory), "-o", str(model_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"seed must be in [0, 2**64), got {seed}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not model_path.exists()
+
+
 def test_synth_corpus_with_samples(tmp_path, capsys):
     directory = tmp_path / "with-wavs"
     assert main(["--seed", "2", "synth-corpus", str(directory), "--songs", "3", "--samples"]) == 0
@@ -420,6 +467,8 @@ def test_train_classifier_and_classify(tmp_path, wav_dir, capsys):
         ("holdout_fraction", "nan", "holdout_fraction must be in (0, 1), got nan"),
         ("holdout_fraction", "1", "holdout_fraction must be in (0, 1), got 1.0"),
         ("holdout_fraction", "0", "holdout_fraction must be in (0, 1), got 0.0"),
+        ("seed", "-1", "seed must be in [0, 2**64), got -1"),
+        ("seed", str(2**64), f"seed must be in [0, 2**64), got {2**64}"),
     ],
 )
 def test_out_of_range_classifier_config_exits_two(tmp_path, wav_dir, capsys, key, value, message):
@@ -443,6 +492,9 @@ def test_out_of_range_classifier_config_exits_two(tmp_path, wav_dir, capsys, key
         ("learning_rate", "nan", "learning_rate must be finite and positive, got nan"),
         ("learning_rate", "-0.1", "learning_rate must be finite and positive, got -0.1"),
         ("weight_nonplayable", "nan", "loss weights must be finite and positive, got nan"),
+        ("normalize", "false", "normalize must be true"),
+        ("seed", "-1", "seed must be in [0, 2**64), got -1"),
+        ("seed", str(2**64), f"seed must be in [0, 2**64), got {2**64}"),
     ],
 )
 def test_out_of_range_selector_config_exits_two(tmp_path, corpus_dir, capsys, key, value, message):

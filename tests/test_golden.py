@@ -92,58 +92,43 @@ def examples(taxonomy):
 
 
 @pytest.fixture(scope="module")
-def selectors(examples):
-    """Full-mode selectors after three epochs, normalize off then on."""
+def selector(examples):
+    """A full-mode selector after three epochs."""
     split = make_split([example.song for example in examples], 0)
-    return [
-        train_selector(examples, split, TrainConfig(max_epochs=3, normalize=normalize, seed=0))[0]
-        for normalize in (False, True)
-    ]
+    return train_selector(examples, split, TrainConfig(max_epochs=3, seed=0))[0]
 
 
-def test_selector_model_files_are_pinned(selectors, tmp_path):
-    digests = []
-    for model in selectors:
-        save_selector(tmp_path / "selector.bin", model)
-        digests.append(hashlib.sha256((tmp_path / "selector.bin").read_bytes()).hexdigest())
-    assert digests == [
-        "d8b7e3a0fa2a5e55f83a8ad3c48565971b5ecfc0e1ff73ca049fdf6a5fdfe845",
-        "cec3ce1ff55ddb72d5310f7e64852fc6c8ec89b0a2a256d480d6b096b79a6a9f",
-    ]
+def test_selector_model_files_are_pinned(selector, tmp_path):
+    save_selector(tmp_path / "selector.bin", selector)
+    digest = hashlib.sha256((tmp_path / "selector.bin").read_bytes()).hexdigest()
+    assert digest == "cec3ce1ff55ddb72d5310f7e64852fc6c8ec89b0a2a256d480d6b096b79a6a9f"
 
 
-def test_self_rollout_decisions_are_pinned(examples, selectors):
+def test_self_rollout_decisions_are_pinned(examples, selector):
     digest = hashlib.sha256()
-    for model in selectors:
-        for example in examples[:6]:
-            chart = example.chart
-            flags = predict_chart(
-                model, chart, TimeGrid(chart), example.curve, example.labels, "self"
-            )
-            digest.update(flags.tobytes())
-            scratch = scratch_sample_ids(chart, example.labels)
-            digest.update(emit_bms_bytes(apply_selection(chart, flags, scratch)))
-    assert digest.hexdigest() == "82458b051a458246a71efdfcec3e08e6fb89c848c5815c7fb6ed3bb91cdb65f5"
+    for example in examples[:6]:
+        chart = example.chart
+        flags = predict_chart(
+            selector, chart, TimeGrid(chart), example.curve, example.labels, "self"
+        )
+        digest.update(flags.tobytes())
+        scratch = scratch_sample_ids(chart, example.labels)
+        digest.update(emit_bms_bytes(apply_selection(chart, flags, scratch)))
+    assert digest.hexdigest() == "8924244750257b04e0876b0f05c5837b086755e2423c0e5f9c42571e73b86379"
 
 
 def test_no_summary_decisions_are_pinned(examples):
     """ff_free in evaluate: a selector without summary features scores the test split."""
     split = make_split([example.song for example in examples], 0)
     test = [example for example in examples if split.assignment[example.song] == "test"]
+    model, _ = train_selector(examples, split, TrainConfig(max_epochs=3, seed=0), NO_SUMMARY_MODE)
     digest = hashlib.sha256()
-    for normalize in (False, True):
-        model, _ = train_selector(
-            examples,
-            split,
-            TrainConfig(max_epochs=3, normalize=normalize, seed=0),
-            NO_SUMMARY_MODE,
-        )
-        for example in test:
-            # three epochs call every test object playable, so the activations
-            # are pinned too: they move with any change in rounding
-            digest.update(model.forward(NO_SUMMARY_MODE.apply(example.features)).tobytes())
-            digest.update(predict_flags(model, example.features).tobytes())
-    assert digest.hexdigest() == "9ad9d8ec58b6bd2199c29c2db5d599a20dcbb296ba9889c3e6fca1bbe6446e41"
+    for example in test:
+        # three epochs call every test object playable, so the activations
+        # are pinned too: they move with any change in rounding
+        digest.update(model.forward(NO_SUMMARY_MODE.apply(example.features)).tobytes())
+        digest.update(predict_flags(model, example.features).tobytes())
+    assert digest.hexdigest() == "216b700f74923f0f954e983b9e21a4d347962fc36b286e526a7ad89266fd0a17"
 
 
 def test_classifier_decisions_are_pinned(tmp_path):

@@ -295,10 +295,8 @@ def test_train_selector_groups_by_song():
 
 
 def test_normalized_training_matches_manual_zscoring():
-    """normalize must z-score against the training partition and then fold
+    """Training must z-score against the training partition and then fold
     the affine map into layer 1, leaving a model that reads raw rows."""
-    assert TrainConfig().normalize is False
-
     rng = np.random.default_rng(6)
     examples = []
     for s in range(6):
@@ -309,29 +307,49 @@ def test_normalized_training_matches_manual_zscoring():
         playable = rng.integers(0, 2, size=40).astype(bool)
         examples.append(SimpleNamespace(song=f"s{s}", features=features, playable=playable))
     plan = SplitPlan({f"s{i}": ("validation" if i >= 4 else "train") for i in range(6)})
-    config = TrainConfig(max_epochs=8, seed=0, normalize=True)
+    config = TrainConfig(max_epochs=8, seed=0)
     model, report = train_selector(examples, plan, config)
 
     train_x = np.concatenate([e.features for e in examples[:4]])
+    raw_val = np.concatenate([e.features for e in examples[4:]])
     shift = train_x.mean(axis=0)
     scale = train_x.std(axis=0)
     scale[scale < 1e-9] = 1.0
-    scored = [
-        SimpleNamespace(song=e.song, features=(e.features - shift) / scale, playable=e.playable)
-        for e in examples
-    ]
-    manual, manual_report = train_selector(
-        scored, plan, TrainConfig(max_epochs=8, seed=0)
+    manual = SelectorModel(FULL_MODE, seed=0)
+    manual_report = fit(
+        manual,
+        (train_x - shift) / scale,
+        np.concatenate([e.playable for e in examples[:4]]),
+        (raw_val - shift) / scale,
+        np.concatenate([e.playable for e in examples[4:]]),
+        config,
     )
+    assert len(report.rows) == len(manual_report.rows)
     for ours, theirs in zip(report.rows, manual_report.rows):
         assert ours.val_loss == theirs.val_loss
         assert ours.val_f1 == theirs.val_f1
 
-    raw_val = np.concatenate([e.features for e in examples[4:]])
     folded = model.forward(raw_val)
     unfolded = manual.forward((raw_val - shift) / scale)
     assert np.allclose(folded, unfolded, atol=1e-9)
     assert np.isfinite(model.weights[0]).all()
+
+
+def test_train_selector_never_writes_to_example_features():
+    """Scaling happens in place on the stacked matrices, never on an example's
+    own array, even when a partition holds a single example."""
+    rng = np.random.default_rng(8)
+    examples = [fake_example(song, 30, rng) for song in ("a", "b", "c")]
+    before = [example.features.tobytes() for example in examples]
+    plan = SplitPlan({"a": "train", "b": "validation", "c": "test"})
+    train_selector(examples, plan, TrainConfig(max_epochs=2, seed=0), FULL_MODE)
+    assert [example.features.tobytes() for example in examples] == before
+
+
+def test_normalize_false_is_rejected():
+    assert TrainConfig().normalize is True
+    with pytest.raises(DataError, match="normalize must be true"):
+        TrainConfig(normalize=False)
 
 
 # -- prediction ---------------------------------------------------------------
