@@ -5,6 +5,10 @@ Header directives #WAVxx, #BPM, #BPMxx, #TITLE, #ARTIST, #PLAYLEVEL and
 channel messages are handled; 2P channels, long notes, stop sequences
 and #RANDOM control flow are skipped with a warning record.
 
+A chart object is (measure, position, sample id, lane).  Its lane alone
+says whether it is playable (every lane but BG is a control), and the
+chart's sample table alone names each sample's file.
+
 Object positions are exact rationals within their measure, so message
 round-trips never accumulate floating point drift.  Measure lengths are
 emitted as exact decimals when the denominator allows it and as "n/d"
@@ -78,10 +82,8 @@ class Lane(enum.Enum):
     TT = 8
     BG = 9
 
-    @property
-    def playable(self) -> bool:
-        return self is not Lane.BG
 
+_BG = Lane.BG
 
 # 1P object channels.  Channel 16 is the turntable; 17 is unused by the
 # 7+1 layout and is treated as an unknown channel.
@@ -105,10 +107,13 @@ CHANNEL_BPM_INDEXED = 8
 
 @dataclass(frozen=True)
 class SampleRef:
-    """Binding of a sample id to the audio file it plays."""
+    """An object's sample id, 1..1295.
+
+    An object is (measure, position, sample id, lane): the chart's sample
+    table names the file, and the lane alone makes the object playable.
+    """
 
     id: int
-    file_name: str
 
     def __post_init__(self):
         if not 1 <= self.id <= MAX_SAMPLE_ID:
@@ -117,13 +122,16 @@ class SampleRef:
 
 @dataclass(frozen=True)
 class TimedObject:
-    """One keysound event within a chart."""
+    """One keysound event: (measure, position, sample id, lane)."""
 
     measure: int
     position: Fraction
     sample: SampleRef
     lane: Lane
-    playable: bool
+
+    @property
+    def playable(self) -> bool:  # exactly when the lane is a control
+        return self.lane is not _BG
 
 
 @dataclass(frozen=True)
@@ -242,18 +250,8 @@ def make_chart(
         # a float strictly inside (0, 1) proves the exact position is too
         if not 0.0 < keys[i][1] < 1.0 and not 0 <= obj.position < 1:
             raise DataError(f"object position {obj.position} outside [0, 1)")
-        if obj.playable != obj.lane.playable:
-            raise DataError(
-                f"object at {obj.measure}+{obj.position} has playable={obj.playable} "
-                f"but lane {obj.lane.name}"
-            )
         if obj.sample.id not in table:
             raise DataError(f"object references sample id {obj.sample.id} missing from table")
-        if table[obj.sample.id] != obj.sample.file_name:
-            raise DataError(
-                f"sample id {obj.sample.id} bound to {table[obj.sample.id]!r} "
-                f"but object carries {obj.sample.file_name!r}"
-            )
         if obj.playable:
             key = keys[i][:4]
             if key == last_playable:
@@ -269,7 +267,7 @@ def make_chart(
 def with_lanes(chart: Chart, lanes) -> Chart:
     """Rebuild a chart with new lane assignments (playability follows the lane)."""
     new_objects = [
-        TimedObject(obj.measure, obj.position, obj.sample, lane, lane.playable)
+        TimedObject(obj.measure, obj.position, obj.sample, lane)
         for obj, lane in zip(chart.objects, lanes, strict=True)
     ]
     return make_chart(
@@ -370,7 +368,7 @@ def parse_bms(text: str) -> Chart:
     bpm_events: list[BpmEvent] = [BpmEvent(0, Fraction(0), header_bpm)]
     measure_lengths: dict[int, Fraction] = {}
     positions: dict[tuple[int, int], Fraction] = {}  # see _iter_pairs
-    samples: dict[int, SampleRef] = {}  # one SampleRef per sample id
+    samples = {sample_id: SampleRef(sample_id) for sample_id in wav_table}  # shared per id
 
     for lineno, measure, channel, data in messages:
         if channel == CHANNEL_MEASURE_LENGTH:
@@ -403,18 +401,15 @@ def parse_bms(text: str) -> Chart:
 
         if channel == CHANNEL_BGM or channel in LANE_BY_CHANNEL:
             lane = LANE_BY_CHANNEL.get(channel, Lane.BG)
-            playable = lane.playable
             for position, token in _iter_pairs(data, lineno, positions):
                 sample_id = base36_decode(token, lineno)
                 sample = samples.get(sample_id)
                 if sample is None:
-                    if sample_id not in wav_table:
-                        raise BmsParseError(
-                            f"token {token!r} references sample id {sample_id} with no #WAV definition",
-                            lineno,
-                        )
-                    sample = samples[sample_id] = SampleRef(sample_id, wav_table[sample_id])
-                objects.append(TimedObject(measure, position, sample, lane, playable))
+                    raise BmsParseError(
+                        f"token {token!r} references sample id {sample_id} with no #WAV definition",
+                        lineno,
+                    )
+                objects.append(TimedObject(measure, position, sample, lane))
             continue
 
         if channel == 17:
@@ -678,9 +673,8 @@ def chart_from_json(text: str) -> Chart:
             TimedObject(
                 measure=int(o["measure"]),
                 position=Fraction(o["position"]),
-                sample=SampleRef(int(o["sample"]), table[int(o["sample"])]),
+                sample=SampleRef(int(o["sample"])),
                 lane=Lane[o["lane"]],
-                playable=Lane[o["lane"]].playable,
             )
             for o in doc["objects"]
         ]

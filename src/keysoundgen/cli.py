@@ -278,13 +278,10 @@ def _cmd_generate(args, config: Config) -> int:
     labels = resolve_labels(chart, taxonomy, manifest)
 
     flags = predict_chart(model, chart, grid, curve, labels, args.summary_mode)
-    generated = apply_selection(
-        chart,
-        flags,
-        scratch_sample_ids(chart, labels),
-        strain_config,
-        config.flag("placement.scratch_to_turntable", True),
-    )
+    scratch = set()
+    if config.flag("placement.scratch_to_turntable", True):
+        scratch = scratch_sample_ids(chart, labels)
+    generated = apply_selection(chart, flags, scratch, strain_config)
     save_bms(args.output, generated)
     sys.stdout.write(
         f"selected {int(np.sum(flags))} of {len(chart.objects)} objects as playable\n"

@@ -59,6 +59,9 @@ class CorpusConfig:
     def __post_init__(self):
         if self.songs < 1:
             raise DataError(f"corpus songs must be at least 1, got {self.songs}")
+        # random.Random seeds an int by its absolute value, so -7 would repeat 7
+        if not 0 <= self.seed < 2**64:
+            raise DataError(f"corpus seed must be in [0, 2**64), got {self.seed}")
         # BMS numbers measures 0..999, and a chart's odd-length measure is drawn from 1..measures-1
         if not 2 <= self.min_measures <= self.max_measures <= 1000:
             raise DataError(
@@ -154,9 +157,7 @@ def _song_chart(rng: random.Random, plan: SongPlan, level: int, measures: int) -
             for position in _measure_slots(rng, instrument, density):
                 variant = rng.randrange(plan.variants[instrument])
                 sid = sample_ids[(instrument, variant)]
-                objects.append(
-                    TimedObject(measure, position, SampleRef(sid, table[sid]), Lane.BG, False)
-                )
+                objects.append(TimedObject(measure, position, SampleRef(sid), Lane.BG))
                 flags.append(plan.roles[instrument])
 
     lengths = {}
@@ -229,9 +230,7 @@ def random_chart(rng: random.Random) -> Chart:
                 lane = Lane.BG
             else:
                 used_playable.add((measure, position, lane))
-        objects.append(
-            TimedObject(measure, position, SampleRef(sid, table[sid]), lane, lane.playable)
-        )
+        objects.append(TimedObject(measure, position, SampleRef(sid), lane))
 
     events = [BpmEvent(0, Fraction(0), float(rng.choice([120, 150, 174, 200])))]
     for _ in range(rng.randint(0, 3)):

@@ -28,7 +28,6 @@ def assign_controls(
     playable_flags,
     scratch_samples=frozenset(),
     config: StrainConfig = DEFAULT_STRAIN,
-    scratch_to_turntable: bool = True,
 ) -> list[Lane]:
     """Pick a lane for every object: a control where flagged, BG elsewhere.
 
@@ -64,7 +63,7 @@ def assign_controls(
         allow_turntable = len(group) == len(CONTROL_LANES)
         # a stable sort: equal sample ids keep their chart order
         for i in sorted(group, key=lambda j: objects[j].sample.id):
-            is_scratch = scratch_to_turntable and objects[i].sample.id in scratch_samples
+            is_scratch = objects[i].sample.id in scratch_samples
             if is_scratch and turntable_free:
                 control = TURNTABLE
             elif (allow_turntable or is_scratch) and turntable_free:
@@ -85,11 +84,8 @@ def apply_selection(
     playable_flags,
     scratch_samples=frozenset(),
     config: StrainConfig = DEFAULT_STRAIN,
-    scratch_to_turntable: bool = True,
 ) -> Chart:
     """Rebuild a chart so flagged objects sit on controls and the rest on BG."""
     grid = TimeGrid(chart)
-    lanes = assign_controls(
-        chart, grid, playable_flags, scratch_samples, config, scratch_to_turntable
-    )
+    lanes = assign_controls(chart, grid, playable_flags, scratch_samples, config)
     return with_lanes(chart, lanes)

@@ -267,9 +267,6 @@ class SplitPlan:
             if part not in SPLIT_NAMES:
                 raise DataError(f"song {song!r} assigned to unknown split {part!r}")
 
-    def songs(self, part: str) -> list[str]:
-        return sorted(s for s, p in self.assignment.items() if p == part)
-
 
 def make_split(songs, seed: int = 0) -> SplitPlan:
     """Shuffle songs and cut 80/10/10."""

@@ -26,14 +26,10 @@ def random_score(rng: random.Random, max_group: int = 8):
     for measure in range(rng.randint(2, 6)):
         for i in range(16):
             for sid in rng.sample(ids, rng.randint(0, min(4, len(ids)))):
-                objects.append(
-                    TimedObject(
-                        measure, SIXTEENTHS[i], SampleRef(sid, table[sid]), Lane.BG, False
-                    )
-                )
+                objects.append(TimedObject(measure, SIXTEENTHS[i], SampleRef(sid), Lane.BG))
     if not objects:
         sid = ids[0]
-        objects.append(TimedObject(0, Fraction(0), SampleRef(sid, table[sid]), Lane.BG, False))
+        objects.append(TimedObject(0, Fraction(0), SampleRef(sid), Lane.BG))
 
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 150.0)])
 
@@ -72,7 +68,7 @@ def ratio_chart(total: int = 200, playable_ratio: float = 0.3) -> Chart:
             lane = Lane.BG
             sid = 2
         objects.append(
-            TimedObject(measure, SIXTEENTHS[slot], SampleRef(sid, table[sid]), lane, playable)
+            TimedObject(measure, SIXTEENTHS[slot], SampleRef(sid), lane)
         )
     if placed != int(playable_count):
         raise DataError(f"ratio chart construction placed {placed} playables")

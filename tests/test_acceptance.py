@@ -393,7 +393,7 @@ def test_7_placement_safety():
     table = {sid: f"s{sid:02d}.wav" for sid in range(1, 10)}
     crowded = make_chart(
         [
-            TimedObject(0, Fraction(0), SampleRef(sid, table[sid]), Lane.BG, False)
+            TimedObject(0, Fraction(0), SampleRef(sid), Lane.BG)
             for sid in range(1, 10)
         ],
         table,

@@ -1,5 +1,6 @@
 """Parser and emitter tests, including the exact round-trip property."""
 
+import dataclasses
 import json
 import math
 import random
@@ -33,10 +34,10 @@ def simple_chart(**overrides):
     table = {1: "kick.wav", 2: "snare.wav", 37: "bass.wav"}
     kwargs = dict(
         objects=[
-            TimedObject(0, Fraction(0), SampleRef(1, "kick.wav"), Lane.K1, True),
-            TimedObject(0, Fraction(1, 2), SampleRef(2, "snare.wav"), Lane.K3, True),
-            TimedObject(1, Fraction(0), SampleRef(37, "bass.wav"), Lane.BG, False),
-            TimedObject(1, Fraction(3, 4), SampleRef(1, "kick.wav"), Lane.TT, True),
+            TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
+            TimedObject(0, Fraction(1, 2), SampleRef(2), Lane.K3),
+            TimedObject(1, Fraction(0), SampleRef(37), Lane.BG),
+            TimedObject(1, Fraction(3, 4), SampleRef(1), Lane.TT),
         ],
         sample_table=table,
         bpm_events=[BpmEvent(0, Fraction(0), 150.0)],
@@ -94,7 +95,8 @@ def test_parse_minimal_document():
     assert obj.position == Fraction(0)
     assert obj.lane is Lane.K1
     assert obj.playable
-    assert obj.sample == SampleRef(1, "kick.wav")
+    assert obj.sample == SampleRef(1)
+    assert chart.sample_table == {1: "kick.wav"}
 
 
 def test_parse_positions_are_exact_fractions():
@@ -250,8 +252,8 @@ def test_parse_equal_positions_from_different_slot_counts():
     table = {1: "a.wav", 2: "b.wav"}
     fresh = make_chart(
         [
-            TimedObject(1, Fraction(2, 4), SampleRef(2, "b.wav"), Lane.K2, True),
-            TimedObject(1, Fraction(1, 2), SampleRef(1, "a.wav"), Lane.K1, True),
+            TimedObject(1, Fraction(2, 4), SampleRef(2), Lane.K2),
+            TimedObject(1, Fraction(1, 2), SampleRef(1), Lane.K1),
         ],
         table,
         [BpmEvent(0, Fraction(0), 120.0)],
@@ -306,7 +308,7 @@ def test_parse_ignores_non_directive_lines():
 def test_parse_last_wav_definition_wins():
     chart = parse_bms("#BPM 120\n#WAV01 a.wav\n#WAV01 b.wav\n#00101:01\n")
     assert chart.sample_table[1] == "b.wav"
-    assert chart.objects[0].sample.file_name == "b.wav"
+    assert chart.sample_table[chart.objects[0].sample.id] == "b.wav"
 
 
 def test_parse_bytes_shift_jis_fallback():
@@ -326,10 +328,10 @@ def test_parse_bytes_utf8_bom():
 def test_make_chart_sorts_canonically():
     table = {1: "a.wav", 2: "b.wav"}
     objs = [
-        TimedObject(1, Fraction(0), SampleRef(2, "b.wav"), Lane.BG, False),
-        TimedObject(0, Fraction(1, 2), SampleRef(1, "a.wav"), Lane.K2, True),
-        TimedObject(0, Fraction(1, 2), SampleRef(2, "b.wav"), Lane.K1, True),
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.K1, True),
+        TimedObject(1, Fraction(0), SampleRef(2), Lane.BG),
+        TimedObject(0, Fraction(1, 2), SampleRef(1), Lane.K2),
+        TimedObject(0, Fraction(1, 2), SampleRef(2), Lane.K1),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
     ]
     chart = make_chart(objs, table, [BpmEvent(0, Fraction(0), 120.0)])
     keys = [(o.measure, o.position, o.lane.name) for o in chart.objects]
@@ -341,11 +343,27 @@ def test_make_chart_sorts_canonically():
     ]
 
 
+def test_timed_object_is_four_fields_and_playable_follows_lane():
+    assert [f.name for f in dataclasses.fields(TimedObject)] == [
+        "measure", "position", "sample", "lane"
+    ]
+    assert [f.name for f in dataclasses.fields(SampleRef)] == ["id"]
+    for lane in Lane:
+        obj = TimedObject(0, Fraction(0), SampleRef(1), lane)
+        assert obj.playable is (lane is not Lane.BG)
+
+
+def test_make_chart_rejects_sample_missing_from_table():
+    objs = [TimedObject(0, Fraction(0), SampleRef(2), Lane.K1)]
+    with pytest.raises(DataError, match="sample id 2 missing from table"):
+        make_chart(objs, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
+
+
 def test_make_chart_rejects_playable_collision():
     table = {1: "a.wav", 2: "b.wav"}
     objs = [
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.K1, True),
-        TimedObject(0, Fraction(0), SampleRef(2, "b.wav"), Lane.K1, True),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
+        TimedObject(0, Fraction(0), SampleRef(2), Lane.K1),
     ]
     with pytest.raises(DataError, match="share"):
         make_chart(objs, table, [BpmEvent(0, Fraction(0), 120.0)])
@@ -354,8 +372,8 @@ def test_make_chart_rejects_playable_collision():
 def test_make_chart_allows_background_collision():
     table = {1: "a.wav", 2: "b.wav"}
     objs = [
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.BG, False),
-        TimedObject(0, Fraction(0), SampleRef(2, "b.wav"), Lane.BG, False),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.BG),
+        TimedObject(0, Fraction(0), SampleRef(2), Lane.BG),
     ]
     chart = make_chart(objs, table, [BpmEvent(0, Fraction(0), 120.0)])
     assert len(chart.objects) == 2
@@ -364,7 +382,7 @@ def test_make_chart_allows_background_collision():
 def test_make_chart_checks_positions_exactly():
     # these positions round to the float 0.0, 1.0 or overflow it
     def chart_at(position):
-        obj = TimedObject(0, position, SampleRef(1, "a.wav"), Lane.BG, False)
+        obj = TimedObject(0, position, SampleRef(1), Lane.BG)
         return make_chart([obj], {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
 
     for position in (Fraction(1, 10**400), 1 - Fraction(1, 10**400)):
@@ -378,11 +396,11 @@ def test_with_lanes_reorders_within_an_instant():
     # the lane is part of the sort key, so swapping lanes can swap objects
     table = {1: "a.wav", 2: "b.wav"}
     bpm = [BpmEvent(0, Fraction(0), 120.0)]
-    s1, s2 = SampleRef(1, "a.wav"), SampleRef(2, "b.wav")
+    s1, s2 = SampleRef(1), SampleRef(2)
     chart = make_chart(
         [
-            TimedObject(0, Fraction(0), s1, Lane.BG, False),
-            TimedObject(0, Fraction(0), s2, Lane.K1, True),
+            TimedObject(0, Fraction(0), s1, Lane.BG),
+            TimedObject(0, Fraction(0), s2, Lane.K1),
         ],
         table,
         bpm,
@@ -392,21 +410,14 @@ def test_with_lanes_reorders_within_an_instant():
     assert [(o.lane, o.sample.id) for o in swapped.objects] == [(Lane.K1, 1), (Lane.BG, 2)]
     assert swapped == make_chart(
         [
-            TimedObject(0, Fraction(0), s2, Lane.BG, False),
-            TimedObject(0, Fraction(0), s1, Lane.K1, True),
+            TimedObject(0, Fraction(0), s2, Lane.BG),
+            TimedObject(0, Fraction(0), s1, Lane.K1),
         ],
         table,
         bpm,
     )
     with pytest.raises(DataError, match="share"):
         with_lanes(chart, [Lane.K1, Lane.K1])
-
-
-def test_make_chart_rejects_mismatched_playable_flag():
-    table = {1: "a.wav"}
-    objs = [TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.K1, False)]
-    with pytest.raises(DataError, match="playable"):
-        make_chart(objs, table, [BpmEvent(0, Fraction(0), 120.0)])
 
 
 def test_make_chart_requires_initial_bpm_event():
@@ -454,9 +465,9 @@ def test_emit_contains_expected_sections():
 def test_emit_bgm_layers_stack_simultaneous_objects():
     table = {1: "a.wav", 2: "b.wav", 3: "c.wav"}
     objs = [
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.BG, False),
-        TimedObject(0, Fraction(0), SampleRef(2, "b.wav"), Lane.BG, False),
-        TimedObject(0, Fraction(1, 2), SampleRef(3, "c.wav"), Lane.BG, False),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.BG),
+        TimedObject(0, Fraction(0), SampleRef(2), Lane.BG),
+        TimedObject(0, Fraction(1, 2), SampleRef(3), Lane.BG),
     ]
     chart = make_chart(objs, table, [BpmEvent(0, Fraction(0), 120.0)])
     lines = [l for l in emit_bms(chart).splitlines() if l.startswith("#00001:")]
@@ -467,8 +478,8 @@ def test_emit_bgm_layers_stack_simultaneous_objects():
 def test_emit_packs_lcm_denominator():
     table = {1: "a.wav"}
     objs = [
-        TimedObject(0, Fraction(1, 3), SampleRef(1, "a.wav"), Lane.K1, True),
-        TimedObject(0, Fraction(1, 4), SampleRef(1, "a.wav"), Lane.K1, True),
+        TimedObject(0, Fraction(1, 3), SampleRef(1), Lane.K1),
+        TimedObject(0, Fraction(1, 4), SampleRef(1), Lane.K1),
     ]
     chart = make_chart(objs, table, [BpmEvent(0, Fraction(0), 120.0)])
     line = next(l for l in emit_bms(chart).splitlines() if l.startswith("#00011:"))
@@ -485,7 +496,7 @@ def test_emit_refuses_lines_past_slot_ceiling(monkeypatch):
 
     def keyed(*positions):
         return make_chart(
-            [TimedObject(0, p, SampleRef(1, "a.wav"), Lane.K1, True) for p in positions], table, bpm
+            [TimedObject(0, p, SampleRef(1), Lane.K1) for p in positions], table, bpm
         )
 
     # lcm(8, 125) = 1000 slots fits; lcm(7, 11, 13) = 1001 does not
@@ -525,7 +536,7 @@ def test_message_slot_ceiling_stops_at_first_overflow(monkeypatch):
     entries = [(Fraction(1, p), "01") for p in primes]
     with pytest.raises(DataError, match=r"at least 1147 slots"):
         bms._message_slots(entries)
-    objs = [TimedObject(0, pos, SampleRef(1, "a.wav"), Lane.K1, True) for pos, _ in entries]
+    objs = [TimedObject(0, pos, SampleRef(1), Lane.K1) for pos, _ in entries]
     chart = make_chart(objs, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
     # the line holds its positions in ascending order, so the largest prime comes first
     with pytest.raises(DataError, match=f"at least {primes[-1]} slots"):

@@ -19,6 +19,7 @@ from keysoundgen.cli import main
 from keysoundgen.corpus import instrument_wave
 from keysoundgen.audio import write_wave
 from keysoundgen.features import FULL_MODE, load_features
+from keysoundgen.placement import KEY_LANES
 from keysoundgen.selector import SelectorModel, load_selector, save_selector
 
 
@@ -33,7 +34,7 @@ def make_source_chart(path, groups=(3, 2, 4)):
             name = f"{instruments[k % len(instruments)]}{sid:02d}.wav"
             table[sid] = name
             objects.append(
-                TimedObject(measure, Fraction(0), SampleRef(sid, name), Lane.BG, False)
+                TimedObject(measure, Fraction(0), SampleRef(sid), Lane.BG)
             )
             sid += 1
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 140.0)])
@@ -193,6 +194,21 @@ def test_emit_past_slot_ceiling_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out.bms").exists()
 
 
+def test_emit_sample_missing_from_table_exits_two(tmp_path, capsys):
+    good = tmp_path / "good.bms"
+    make_source_chart(good)
+    doc = tmp_path / "chart.json"
+    assert main(["parse", str(good), "-o", str(doc)]) == 0
+    chart = json.loads(doc.read_text("utf-8"))
+    del chart["samples"][str(chart["objects"][0]["sample"])]
+    doc.write_text(json.dumps(chart), encoding="utf-8")
+    assert main(["emit", str(doc), "-o", str(tmp_path / "out.bms")]) == 2
+    err = capsys.readouterr().err
+    assert f"sample id {chart['objects'][0]['sample']} missing from table" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out.bms").exists()
+
+
 # -- parse / emit -------------------------------------------------------------
 
 def test_parse_emit_roundtrip(tmp_path, capsys):
@@ -270,8 +286,8 @@ def test_seed_flag_wins_over_config_seed_keys(tmp_path, capsys):
         "file": ["--config", str(config)],
         "flag": ["--seed", "5"],
         "default": [],
-        "both": ["--config", str(config), "--seed", "-7"],
-        "negative": ["--seed", "-7"],
+        "both": ["--config", str(config), "--seed", "7"],
+        "other": ["--seed", "7"],
     }
     written = {}
     for name, flags in runs.items():
@@ -280,7 +296,7 @@ def test_seed_flag_wins_over_config_seed_keys(tmp_path, capsys):
         written[name] = corpus_bytes(directory)
     assert written["file"] == written["flag"]
     assert written["file"] != written["default"]
-    assert written["both"] == written["negative"]
+    assert written["both"] == written["other"]
     assert written["both"] != written["file"]
 
 
@@ -368,6 +384,27 @@ def test_generate_with_user_curve_and_summary_mode(tmp_path, corpus_dir, capsys)
     )
     assert code == 0
     assert load_bms(out).playable_indices()
+
+
+@pytest.mark.parametrize(
+    "setting, lanes", [("on", {Lane.TT}), ("off", set(KEY_LANES))], ids=["on", "off"]
+)
+def test_generate_scratch_to_turntable_key(tmp_path, capsys, setting, lanes):
+    table = {1: "kick01.wav", 2: "scratch02.wav"}
+    objects = [TimedObject(0, Fraction(0), SampleRef(sid), Lane.BG) for sid in table]
+    source = tmp_path / "song.bms"
+    save_bms(source, make_chart(objects, table, [BpmEvent(0, Fraction(0), 140.0)]))
+    config = tmp_path / "placement.cfg"
+    config.write_text(f"placement.scratch_to_turntable = {setting}\n", encoding="utf-8")
+    model_path = playable_everywhere_model(tmp_path / "model.bin")
+    out = tmp_path / "gen.bms"
+    code = main(
+        ["--config", str(config), "generate", str(source), "-o", str(out), "--model", str(model_path)]
+    )
+    assert code == 0
+    lane_of = {obj.sample.id: obj.lane for obj in load_bms(out).objects}
+    assert lane_of[2] in lanes
+    assert lane_of[1] in KEY_LANES
 
 
 def test_evaluate_compares_variants(tmp_path, corpus_dir, capsys):
@@ -523,6 +560,8 @@ def test_out_of_range_selector_config_exits_two(tmp_path, corpus_dir, capsys, ke
             "need 2 <= min_measures <= max_measures <= 1000, got 1 and 1",
         ),
         ("corpus.max_measures = 1001", [], "max_measures <= 1000, got 12 and 1001"),
+        ("corpus.seed = -7", [], "corpus seed must be in [0, 2**64), got -7"),
+        ("corpus.seed = 18446744073709551616", [], f"got {2**64}"),
     ],
 )
 def test_out_of_range_corpus_config_exits_two(tmp_path, capsys, settings, flags, message):
@@ -534,6 +573,15 @@ def test_out_of_range_corpus_config_exits_two(tmp_path, capsys, settings, flags,
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+    assert not directory.exists()
+
+
+def test_negative_seed_flag_on_synth_corpus_exits_two(tmp_path, capsys):
+    directory = tmp_path / "corpus"
+    assert main(["--seed", "-7", "synth-corpus", str(directory), "--songs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "corpus seed must be in [0, 2**64), got -7" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not directory.exists()
 
 

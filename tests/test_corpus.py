@@ -28,8 +28,8 @@ TAXONOMY = load_taxonomy()
 SMALL = CorpusConfig(songs=8, seed=3, min_measures=4, max_measures=6)
 
 
-def instrument_of(obj):
-    return Path(obj.sample.file_name).stem[:-2]
+def instrument_of(chart, obj):
+    return Path(chart.sample_table[obj.sample.id]).stem[:-2]
 
 
 def test_corpus_size_and_song_names():
@@ -46,7 +46,7 @@ def test_corpus_roles_are_constant_per_song():
     for entry in build_corpus(SMALL):
         by_instrument = {}
         for obj in entry.chart.objects:
-            by_instrument.setdefault(instrument_of(obj), set()).add(obj.playable)
+            by_instrument.setdefault(instrument_of(entry.chart, obj), set()).add(obj.playable)
         for instrument, states in by_instrument.items():
             assert len(states) == 1, f"{instrument} flips within one song"
             if instrument in ALWAYS_PLAYABLE or instrument == "scratch":
@@ -60,7 +60,7 @@ def test_corpus_roles_differ_between_songs():
     melodic_roles = {}
     for entry in entries:
         for obj in entry.chart.objects:
-            instrument = instrument_of(obj)
+            instrument = instrument_of(entry.chart, obj)
             if instrument in ("piano", "bass", "lead"):
                 melodic_roles.setdefault(instrument, set()).add(obj.playable)
     # with 20 songs both conventions must occur somewhere
@@ -72,7 +72,7 @@ def test_corpus_plays_exactly_one_section_per_song():
     for entry in entries:
         states = [set(), set()]
         for obj in entry.chart.objects:
-            instrument = instrument_of(obj)
+            instrument = instrument_of(entry.chart, obj)
             for k, section in enumerate(SECTIONS):
                 if instrument in section:
                     states[k].add(obj.playable)

@@ -31,9 +31,9 @@ TAXONOMY = load_taxonomy()
 def mixed_chart():
     table = {1: "kick00.wav", 2: "mystery.wav", 3: "scratch00.wav"}
     objects = [
-        TimedObject(0, Fraction(0), SampleRef(1, table[1]), Lane.K1, True),
-        TimedObject(0, Fraction(1, 2), SampleRef(2, table[2]), Lane.BG, False),
-        TimedObject(1, Fraction(0), SampleRef(3, table[3]), Lane.TT, True),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
+        TimedObject(0, Fraction(1, 2), SampleRef(2), Lane.BG),
+        TimedObject(1, Fraction(0), SampleRef(3), Lane.TT),
     ]
     return make_chart(objects, table, [BpmEvent(0, Fraction(0), 140.0)])
 
@@ -80,7 +80,7 @@ def test_featurize_corpus_covers_every_entry():
 
 def test_load_chart_dir_groups_by_title(tmp_path):
     table = {1: "kick00.wav"}
-    objects = [TimedObject(0, Fraction(0), SampleRef(1, table[1]), Lane.K1, True)]
+    objects = [TimedObject(0, Fraction(0), SampleRef(1), Lane.K1)]
     titled = make_chart(
         objects, table, [BpmEvent(0, Fraction(0), 120.0)],
         metadata=Metadata(title="same song"),

@@ -31,7 +31,7 @@ def chart_from_notes(notes, bpm=120.0):
     """notes: list of (measure, position, lane). One shared sample."""
     table = {1: "a.wav"}
     objects = [
-        TimedObject(m, Fraction(p), SampleRef(1, "a.wav"), lane, lane.playable)
+        TimedObject(m, Fraction(p), SampleRef(1), lane)
         for m, p, lane in notes
     ]
     return make_chart(objects, table, [BpmEvent(0, Fraction(0), bpm)])
@@ -127,8 +127,8 @@ def test_short_gap_strains_more_than_long_gap():
 def test_background_objects_get_no_strain():
     table = {1: "a.wav", 2: "b.wav"}
     objects = [
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.K1, True),
-        TimedObject(0, Fraction(1, 2), SampleRef(2, "b.wav"), Lane.BG, False),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
+        TimedObject(0, Fraction(1, 2), SampleRef(2), Lane.BG),
     ]
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 120.0)])
     strains = compute_strain(chart, TimeGrid(chart))
@@ -139,9 +139,9 @@ def test_background_objects_get_no_strain():
 def test_virtual_controls_when_no_playables():
     table = {1: "a.wav", 2: "b.wav"}
     objects = [
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.BG, False),
-        TimedObject(0, Fraction(0), SampleRef(2, "b.wav"), Lane.BG, False),
-        TimedObject(0, Fraction(1, 2), SampleRef(1, "a.wav"), Lane.BG, False),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.BG),
+        TimedObject(0, Fraction(0), SampleRef(2), Lane.BG),
+        TimedObject(0, Fraction(1, 2), SampleRef(1), Lane.BG),
     ]
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 120.0)])
     strains = compute_strain(chart, TimeGrid(chart))
@@ -238,8 +238,8 @@ def test_decays_must_lie_in_zero_one(name, decay):
 def test_background_objects_inherit_window_difficulty():
     table = {1: "a.wav", 2: "b.wav"}
     objects = [
-        TimedObject(0, Fraction(0), SampleRef(1, "a.wav"), Lane.K1, True),
-        TimedObject(0, Fraction(1, 16), SampleRef(2, "b.wav"), Lane.BG, False),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
+        TimedObject(0, Fraction(1, 16), SampleRef(2), Lane.BG),
     ]
     chart = make_chart(objects, table, [BpmEvent(0, Fraction(0), 120.0)])
     curve = chart_difficulty(chart)
@@ -296,9 +296,7 @@ def test_densification_never_lowers_overall():
             )
             if not taken:
                 sid = next(iter(chart.sample_table))
-                extra = TimedObject(
-                    measure, position, SampleRef(sid, chart.sample_table[sid]), lane, True
-                )
+                extra = TimedObject(measure, position, SampleRef(sid), lane)
                 denser = make_chart(
                     list(chart.objects) + [extra],
                     chart.sample_table,

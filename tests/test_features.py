@@ -212,7 +212,7 @@ def simple_chart(notes):
     """notes: (measure, position, lane, sample_id)."""
     table = {sid: f"s{sid}.wav" for _, _, _, sid in notes}
     objects = [
-        TimedObject(m, Fraction(p), SampleRef(sid, table[sid]), lane, lane.playable)
+        TimedObject(m, Fraction(p), SampleRef(sid), lane)
         for m, p, lane, sid in notes
     ]
     return make_chart(objects, table, [BpmEvent(0, Fraction(0), 120.0)])
@@ -302,7 +302,7 @@ def test_summary_source_self_uses_predictor_not_truth():
     notes = [(0, 0, Lane.K1, 1), (0, Fraction(1, 2), Lane.K2, 1), (1, 0, Lane.K3, 1)]
     chart = simple_chart(notes)
     flipped_objects = [
-        TimedObject(o.measure, o.position, o.sample, Lane.BG, False)
+        TimedObject(o.measure, o.position, o.sample, Lane.BG)
         for o in chart.objects
     ]
     flipped = make_chart(flipped_objects, chart.sample_table, chart.bpm_events)

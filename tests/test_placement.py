@@ -28,7 +28,7 @@ def background_chart(slots, sample_count=None):
     ids = sorted({sid for _, _, sid in normalized})
     table = {sid: f"s{sid}.wav" for sid in ids}
     objects = [
-        TimedObject(m, p, SampleRef(sid, table[sid]), Lane.BG, False)
+        TimedObject(m, p, SampleRef(sid), Lane.BG)
         for m, p, sid in normalized
     ]
     return make_chart(objects, table, [BpmEvent(0, Fraction(0), 120.0)])
@@ -99,18 +99,6 @@ def test_two_scratches_at_once_overflow_to_keys():
     # sample-id order: first scratch takes the turntable, second gets a key
     assert lanes[0] == Lane.TT
     assert lanes[1] == Lane.K1
-
-
-def test_scratch_preference_can_be_disabled():
-    chart = background_chart([(0, 0, 1)])
-    lanes = assign_controls(
-        chart,
-        TimeGrid(chart),
-        [True],
-        scratch_samples={1},
-        scratch_to_turntable=False,
-    )
-    assert lanes == [Lane.K1]
 
 
 def test_flag_length_mismatch():

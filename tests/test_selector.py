@@ -256,9 +256,8 @@ def test_downweighting_nonplayable_errors_raises_recall():
 def test_make_split_cuts_80_10_10():
     songs = [f"song{i:02d}" for i in range(20)]
     plan = make_split(songs, seed=4)
-    assert len(plan.songs("train")) == 16
-    assert len(plan.songs("validation")) == 2
-    assert len(plan.songs("test")) == 2
+    parts = list(plan.assignment.values())
+    assert [parts.count(part) for part in ("train", "validation", "test")] == [16, 2, 2]
     assert set(plan.assignment) == set(songs)
 
 
@@ -366,10 +365,10 @@ def test_predict_ties_go_nonplayable():
 def chart_for_prediction():
     table = {1: "kick01.wav", 2: "piano01.wav", 3: "hat01.wav"}
     objects = [
-        TimedObject(0, Fraction(0), SampleRef(1, table[1]), Lane.K1, True),
-        TimedObject(0, Fraction(1, 4), SampleRef(2, table[2]), Lane.BG, False),
-        TimedObject(0, Fraction(1, 2), SampleRef(3, table[3]), Lane.K2, True),
-        TimedObject(1, Fraction(0), SampleRef(2, table[2]), Lane.BG, False),
+        TimedObject(0, Fraction(0), SampleRef(1), Lane.K1),
+        TimedObject(0, Fraction(1, 4), SampleRef(2), Lane.BG),
+        TimedObject(0, Fraction(1, 2), SampleRef(3), Lane.K2),
+        TimedObject(1, Fraction(0), SampleRef(2), Lane.BG),
     ]
     return make_chart(objects, table, [BpmEvent(0, Fraction(0), 130.0)])
 
@@ -377,7 +376,7 @@ def chart_for_prediction():
 def labels_for(chart):
     from keysoundgen.audio import label_from_filename
 
-    return [label_from_filename(o.sample.file_name, TAXONOMY) for o in chart.objects]
+    return [label_from_filename(chart.sample_table[o.sample.id], TAXONOMY) for o in chart.objects]
 
 
 def test_predict_chart_streams_its_own_summary():
@@ -400,7 +399,7 @@ def test_predict_chart_streams_its_own_summary():
 def test_predict_chart_self_ignores_authored_flags():
     chart = chart_for_prediction()
     stripped_objects = [
-        TimedObject(o.measure, o.position, o.sample, Lane.BG, False)
+        TimedObject(o.measure, o.position, o.sample, Lane.BG)
         for o in chart.objects
     ]
     stripped = make_chart(stripped_objects, chart.sample_table, chart.bpm_events)

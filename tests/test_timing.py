@@ -44,7 +44,7 @@ def test_beats_past_precomputed_range():
 def seconds(bpm_events, positions):
     """object_seconds of a chart holding one background object per (measure, position)."""
     objects = [
-        TimedObject(m, Fraction(p), SampleRef(1, "a.wav"), Lane.BG, False) for m, p in positions
+        TimedObject(m, Fraction(p), SampleRef(1), Lane.BG) for m, p in positions
     ]
     return TimeGrid(make_chart(objects, {1: "a.wav"}, bpm_events)).object_seconds
 
@@ -83,9 +83,9 @@ def test_seconds_monotone_under_many_changes():
 def test_time_columns_align_with_objects():
     chart = make_chart(
         [
-            TimedObject(0, Fraction(1, 4), SampleRef(1, "a.wav"), Lane.K1, True),
-            TimedObject(0, Fraction(1, 4), SampleRef(1, "a.wav"), Lane.BG, False),
-            TimedObject(2, Fraction(0), SampleRef(1, "a.wav"), Lane.BG, False),
+            TimedObject(0, Fraction(1, 4), SampleRef(1), Lane.K1),
+            TimedObject(0, Fraction(1, 4), SampleRef(1), Lane.BG),
+            TimedObject(2, Fraction(0), SampleRef(1), Lane.BG),
         ],
         {1: "a.wav"},
         [BpmEvent(0, Fraction(0), 150.0)],
@@ -102,7 +102,7 @@ def test_instants_are_exact_not_float():
     # are different instants; 1/2 and 2/4 are one instant
     tiny = [Fraction(1, 10**20), Fraction(2, 10**20)]
     objects = [
-        TimedObject(1, position, SampleRef(1, "a.wav"), Lane.BG, False)
+        TimedObject(1, position, SampleRef(1), Lane.BG)
         for position in tiny + [Fraction(1, 2), Fraction(2, 4), Fraction(3, 4)]
     ]
     chart = make_chart(objects, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
@@ -137,7 +137,7 @@ def test_non_finite_time_is_rejected():
 def test_beat_past_float_range_is_rejected():
     events = [BpmEvent(0, Fraction(0), 120.0)]
     chart = make_chart(
-        [TimedObject(1, Fraction(0), SampleRef(1, "a.wav"), Lane.BG, False)],
+        [TimedObject(1, Fraction(0), SampleRef(1), Lane.BG)],
         {1: "a.wav"},
         events,
         {0: Fraction(10**400)},
