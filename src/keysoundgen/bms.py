@@ -26,6 +26,8 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd, lcm
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import BmsParseError, DataError
 
@@ -163,7 +165,7 @@ class Chart:
     """
 
     objects: tuple[TimedObject, ...]
-    sample_table: dict[int, str]
+    sample_table: Mapping[int, str]  # read-only: every object's sample id stays in it
     bpm_events: tuple[BpmEvent, ...]
     measure_lengths: dict[int, Fraction]
     metadata: Metadata = Metadata()
@@ -186,7 +188,7 @@ class Chart:
 
 def make_chart(
     objects,
-    sample_table: dict[int, str],
+    sample_table: Mapping[int, str],
     bpm_events,
     measure_lengths: dict[int, Fraction] | None = None,
     metadata: Metadata = Metadata(),
@@ -261,7 +263,7 @@ def make_chart(
                 )
             last_playable = key
 
-    return Chart(objs, table, events, lengths, metadata, tuple(warnings))
+    return Chart(objs, MappingProxyType(table), events, lengths, metadata, tuple(warnings))
 
 
 def with_lanes(chart: Chart, lanes) -> Chart:
@@ -490,10 +492,6 @@ def emit_bms(chart: Chart) -> str:
     position denominators; simultaneous background objects are stacked
     into extra channel-01 lines.
     """
-    for obj in chart.objects:
-        if obj.sample.id not in chart.sample_table:
-            raise DataError(f"object references sample id {obj.sample.id} missing from table")
-
     lines: list[str] = []
     meta = chart.metadata
     if meta.title:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor, isfinite
 
+import numpy as np
+
 from .bms import Chart
 from .errors import DataError
 from .timing import TimeGrid
@@ -197,11 +199,10 @@ def curve_from_text(text: str, config: StrainConfig = DEFAULT_STRAIN) -> Difficu
     return DifficultyCurve(config.window_seconds, tuple(values), overall_difficulty(values, config))
 
 
-def curve_value_at(curve: DifficultyCurve, seconds: float) -> float:
-    """Difficulty of the window containing the given time (0 past the end)."""
-    if seconds < 0:
-        return 0.0
-    w = floor(seconds / curve.window_seconds)
-    if w >= len(curve.values):
-        return 0.0
-    return curve.values[w]
+def curve_value_at(curve: DifficultyCurve, seconds):
+    """Difficulty of the window containing each given time (0 before the start and past the end)."""
+    seconds = np.asarray(seconds, dtype=np.float64)
+    windows = np.floor(seconds / curve.window_seconds)
+    inside = (seconds >= 0) & (windows < len(curve.values))
+    values = np.append(curve.values, 0.0)  # the last slot answers every time outside the curve
+    return values[np.where(inside, windows, len(curve.values)).astype(np.intp)]

@@ -8,16 +8,16 @@ over the trailing 2, 4, 8, 16 and 32 beats.
 Summary windows are half-open [now - W, now): an object never summarizes
 itself or anything simultaneous with it, which keeps the feature strictly
 causal and lets generated charts stream their own predictions back in
-(self-summary mode).  Counts are cumulative integers, differenced per
-window and divided once, so the truth and self modes produce bit-identical
-vectors from the same flags.
+(self-summary mode).  Counts are cumulative integers, differenced per window
+and divided once, so truth and self modes give bit-identical vectors from
+the same flags.  Window edges and class totals need no flags, so a chart
+finds them once, and a self-fed instant only reads and divides its counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor
 from pathlib import Path
 from typing import Callable
 
@@ -32,7 +32,8 @@ from .timing import TimeGrid
 
 SUMMARY_WINDOWS = (2.0, 4.0, 8.0, 16.0, 32.0)
 WINDOW_EDGES = np.asarray((0.0,) + SUMMARY_WINDOWS)
-SUMMARY_DIM = len(SUMMARY_WINDOWS) * CATEGORY_COUNT * 2  # 270
+PAIRS = CATEGORY_COUNT * 2  # (playable, non-playable) per class
+SUMMARY_DIM = len(SUMMARY_WINDOWS) * PAIRS  # 270
 FEATURE_DIM = 1 + CATEGORY_COUNT + 1 + SUMMARY_DIM  # 299
 
 COL_DIFFICULTY = 0
@@ -43,28 +44,28 @@ COL_SUMMARY = COL_ALIGNMENT + 1
 ALIGNMENT_SNAP = 1e-6
 
 
-def beat_alignment(beat: float) -> int:
-    """Which 16th-section of its beat a position falls on (0 = on the beat).
+def beat_alignment(beat):
+    """Which 16th-section of its beat each given beat falls on (0 = on the beat).
 
-    The fractional part is snapped to the nearest 16th within 1e-6 first,
-    so times that drift a hair below a section boundary still land on it.
+    The fractional part is snapped to the nearest 16th (ties to even) within
+    1e-6 first, so times that drift a hair below a boundary still land on it.
     """
-    fractional = beat - floor(beat)
-    sixteenths = fractional * 16.0
-    nearest = round(sixteenths)
-    if abs(sixteenths - nearest) < ALIGNMENT_SNAP:
-        sixteenths = nearest
-    return floor(sixteenths) % 16
+    beat = np.asarray(beat, dtype=np.float64)
+    sixteenths = (beat - np.floor(beat)) * 16.0
+    nearest = np.round(sixteenths)
+    snapped = np.where(np.abs(sixteenths - nearest) < ALIGNMENT_SNAP, nearest, sixteenths)
+    return np.floor(snapped).astype(np.intp) % 16
 
 
 class SummaryCounts:
     """Playable shares per instrument class over trailing beat windows.
 
-    `counts[i, c]` holds how many of objects 0..i-1 of class c were
-    (playable, non-playable): cumulative with a leading zero row, so any
-    index range [a, b) counts as row b minus row a.  `record` fills the
-    rows in stream order; `vectors_at` finds each window [now - W, now)
-    with `searchsorted` on the beats.  Vectors are window-major, then
+    `pairs[i]` counts objects 0..i-1 of each class that were (playable,
+    non-playable), and `totals[i]` objects 0..i-1 of each class, with a
+    leading zero row, so [a, b) counts as row b minus row a.  `record` fills
+    `pairs` in stream order.  A window [now - W, now) starts at row
+    `searchsorted(now - W)`, an instant's first object or n, so no query
+    reads a row inside an instant.  Vectors are window-major, then
     class-major, with each class's (playable, non-playable) shares adjacent.
     """
 
@@ -75,7 +76,10 @@ class SummaryCounts:
             raise DataError("summary events must arrive in beat order")
         if np.any((self.instruments < 0) | (self.instruments >= CATEGORY_COUNT)):
             raise DataError(f"instrument index outside 0..{CATEGORY_COUNT - 1}")
-        self.counts = np.zeros((len(self.beats) + 1, CATEGORY_COUNT, 2), dtype=np.int32)
+        self.nonplayable_columns = 2 * self.instruments + 1
+        self.pairs = np.zeros((len(self.beats) + 1, PAIRS))
+        classes = np.eye(CATEGORY_COUNT)[self.instruments]
+        self.totals = np.cumsum(np.vstack((np.zeros(CATEGORY_COUNT), classes)), axis=0)
         self.recorded = 0
 
     def record(self, start: int, flags) -> None:
@@ -84,23 +88,34 @@ class SummaryCounts:
         end = start + len(flags)
         if start != self.recorded or end > len(self.beats):
             raise DataError(f"flags for objects {start}..{end - 1} recorded out of order")
-        step = np.zeros((len(flags) + 1, CATEGORY_COUNT, 2), dtype=np.int32)
-        step[np.arange(1, len(flags) + 1), self.instruments[start:end], (~flags).astype(np.intp)] = 1
-        np.cumsum(step, axis=0, out=step)
-        np.add(self.counts[start], step[1:], out=self.counts[start + 1 : end + 1])
+        columns = self.nonplayable_columns[start:end] - flags
+        if start < end and self.beats[start] == self.beats[end - 1]:
+            # one instant: no query reads its inner rows, so only its end row is written
+            np.add(self.pairs[start], np.bincount(columns, minlength=PAIRS), out=self.pairs[end])
+        else:
+            steps = np.cumsum(np.eye(PAIRS)[columns], axis=0)
+            np.add(self.pairs[start], steps, out=self.pairs[start + 1 : end + 1])
         self.recorded = end
+
+    def windows(self, now) -> tuple[np.ndarray, np.ndarray]:
+        """(m, 6) rows [now, now - 2, ..., now - 32] and (m, 5, 54) divisors, each at least 1."""
+        edges = self.beats.searchsorted(np.reshape(now, (-1, 1)) - WINDOW_EDGES)
+        ends = self.totals[edges]
+        totals = ends[:, :1] - ends[:, 1:]
+        return edges, np.maximum(totals, 1.0, out=totals).repeat(2, axis=-1)
+
+    def shares(self, edges, denominators, out=None) -> np.ndarray:
+        """(..., 5, 54) shares of the windows from `windows`."""
+        ends = self.pairs.take(edges, axis=0)
+        counts = ends[..., :1, :] - ends[..., 1:, :]
+        return np.divide(counts, denominators, out=counts if out is None else out)
 
     def vectors_at(self, now) -> np.ndarray:
         """(m, 270) summary rows for m query beats (a scalar gives one row)."""
-        now = np.asarray(now, dtype=np.float64).reshape(-1, 1)
-        edges = self.beats.searchsorted(now - WINDOW_EDGES)  # [now, now - 2, ..., now - 32]
+        edges, denominators = self.windows(now)
         if (edges[:, 0] > self.recorded).any():
             raise DataError(f"summary query reaches past the {self.recorded} recorded flags")
-        ends = self.counts[edges]
-        counts = ends[:, :1] - ends[:, 1:]
-        # an empty window divides its zero counts by one
-        shares = counts / np.maximum(counts[..., :1] + counts[..., 1:], 1)
-        return shares.reshape(len(now), SUMMARY_DIM)
+        return self.shares(edges, denominators).reshape(len(edges), SUMMARY_DIM)
 
 
 SUMMARY_SOURCES = ("truth", "self", "none")
@@ -122,7 +137,7 @@ def build_features(
     "none" zeroes the whole summary block.  Self mode steps one instant
     (run of equal beats) at a time: every object of an instant sees the
     same summary, so predictor(rows, start) -> (k,) bool receives the k
-    finished rows of objects start..start+k-1 at once (required).
+    finished rows of objects start..start+k-1 at once, read-only (required).
     """
     if summary_source not in SUMMARY_SOURCES:
         raise DataError(f"summary_source must be one of {SUMMARY_SOURCES}, got {summary_source!r}")
@@ -136,25 +151,30 @@ def build_features(
         if not isinstance(label, InstrumentLabel):
             raise DataError(f"object {i} has no instrument label")
 
-    rows = np.zeros((len(chart.objects), FEATURE_DIM), dtype=np.float64)
-    for i, beat in enumerate(grid.object_beats):
-        row = rows[i]
-        row[COL_DIFFICULTY] = curve_value_at(curve, grid.object_seconds[i])
-        row[COL_ONEHOT + labels[i].index] = 1.0
-        row[COL_ALIGNMENT] = float(beat_alignment(beat))
+    n = len(labels)
+    instruments = np.fromiter((label.index for label in labels), dtype=np.intp, count=n)
+    rows = np.zeros((n, FEATURE_DIM), dtype=np.float64)
+    rows[:, COL_DIFFICULTY] = curve_value_at(curve, grid.object_seconds)
+    rows[np.arange(n), COL_ONEHOT + instruments] = 1.0
+    rows[:, COL_ALIGNMENT] = beat_alignment(grid.object_beats)
     if summary_source == "none":
         return rows
 
-    counts = SummaryCounts(grid.object_beats, [label.index for label in labels])
+    counts = SummaryCounts(grid.object_beats, instruments)
+    # an instant starts wherever the beat changes
+    starts = np.flatnonzero(np.diff(counts.beats, prepend=-np.inf))
+    edges, denominators = counts.windows(counts.beats[starts])
+    summary = rows[:, COL_SUMMARY:].reshape(n, len(SUMMARY_WINDOWS), PAIRS, copy=False)
     if summary_source == "truth":
         counts.record(0, [obj.playable for obj in chart.objects])
-        rows[:, COL_SUMMARY:] = counts.vectors_at(counts.beats)
+        summary[:] = np.repeat(counts.shares(edges, denominators), np.diff(starts, append=n), axis=0)
         return rows
-    # an instant starts wherever the beat changes
-    starts = np.flatnonzero(np.diff(counts.beats, prepend=-np.inf)).tolist()
-    for start, end in zip(starts, starts[1:] + [len(rows)]):
-        rows[start:end, COL_SUMMARY:] = counts.vectors_at(counts.beats[start : start + 1])
-        counts.record(start, predictor(rows[start:end].copy(), start))
+    finished = rows.view()
+    finished.flags.writeable = False
+    bounds = starts.tolist() + [n]
+    for start, end, edge, denominator in zip(bounds, bounds[1:], edges, denominators):
+        counts.shares(edge, denominator, out=summary[start:end])
+        counts.record(start, predictor(finished[start:end], start))
     return rows
 
 

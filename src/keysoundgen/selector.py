@@ -23,7 +23,7 @@ import numpy as np
 from .bms import Chart
 from .difficulty import DifficultyCurve
 from .errors import DataError
-from .features import FULL_MODE, FeatureMode, build_features
+from .features import FEATURE_DIM, FULL_MODE, FeatureMode, build_features
 from .framing import BinaryFormat
 from .sgd import sgd_epoch
 from .timing import TimeGrid
@@ -98,11 +98,9 @@ class SelectorModel:
             x = x[np.newaxis, :]
         if x.shape[1] != self.input_width:
             raise DataError(f"model expects width {self.input_width}, got {x.shape[1]}")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w + b
-            if i < len(self.weights) - 1:
-                x = np.maximum(x, 0.0)
-        return x
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            x = np.maximum(x @ w + b, 0.0)
+        return x @ self.weights[-1] + self.biases[-1]
 
     def _forward_cached(self, x: np.ndarray):
         pre: list[np.ndarray] = []
@@ -368,10 +366,13 @@ def predict_chart(
         )
     if summary_source == "self":
         flags = np.zeros(len(chart.objects), dtype=bool)
+        columns = slice(None) if model.mode.width == FEATURE_DIM else model.mode.columns
 
         def feedback(rows: np.ndarray, start: int) -> np.ndarray:
-            flags[start : start + len(rows)] = predict_flags(model, rows)
-            return flags[start : start + len(rows)]
+            out = model.forward(rows[:, columns])
+            decided = flags[start : start + len(rows)]
+            np.greater(out[:, 0], out[:, 1], out=decided)
+            return decided
 
         build_features(chart, grid, curve, labels, "self", feedback)
         return flags

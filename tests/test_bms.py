@@ -359,6 +359,23 @@ def test_make_chart_rejects_sample_missing_from_table():
         make_chart(objs, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
 
 
+def test_sample_table_is_read_only():
+    table = {1: "kick.wav", 2: "snare.wav", 37: "bass.wav"}
+    chart = simple_chart(sample_table=table)
+    with pytest.raises(TypeError):
+        chart.sample_table[1] = "other.wav"
+    with pytest.raises(TypeError):
+        del chart.sample_table[1]
+    # the chart holds its own copy: editing the caller's dict changes nothing
+    table[1] = "other.wav"
+    assert chart.sample_table[1] == "kick.wav"
+    assert chart.sample_table == {1: "kick.wav", 2: "snare.wav", 37: "bass.wav"}
+    assert chart == simple_chart()
+    doc = json.loads(chart_to_json(chart))
+    assert doc["samples"] == {"1": "kick.wav", "2": "snare.wav", "37": "bass.wav"}
+    assert chart_from_json(chart_to_json(chart)) == chart
+
+
 def test_make_chart_rejects_playable_collision():
     table = {1: "a.wav", 2: "b.wav"}
     objs = [

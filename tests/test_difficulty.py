@@ -1,8 +1,10 @@
 """Strain model tests against a literal unrolled-sum oracle."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from keysoundgen.bms import BpmEvent, Lane, SampleRef, TimedObject, make_chart
@@ -353,3 +355,25 @@ def test_curve_value_lookup():
     assert curve_value_at(curve, 0.79) == 2.0
     assert curve_value_at(curve, 5.0) == 0.0
     assert curve_value_at(curve, -0.1) == 0.0
+
+
+def scalar_curve_value(curve, seconds):
+    """The per-time rule: window floor(seconds / width), 0 before the start and past the end."""
+    if seconds < 0:
+        return 0.0
+    w = math.floor(seconds / curve.window_seconds)
+    return curve.values[w] if w < len(curve.values) else 0.0
+
+
+def test_curve_value_on_an_array_matches_the_scalar_rule():
+    curve = DifficultyCurve(0.4, (1.0, 2.0, 3.0, 0.5))
+    end = len(curve.values) * curve.window_seconds
+    times = [-0.1, -1e-12, -0.0, 0.0, end, math.nextafter(end, 0.0), 1e6, 1e300]
+    times += [k * curve.window_seconds for k in range(len(curve.values) + 2)]
+    times += [(k + 0.5) * curve.window_seconds for k in range(len(curve.values))]
+    rng = random.Random(24)
+    times += [rng.uniform(-1.0, end + 1.0) for _ in range(200)]
+    expected = [scalar_curve_value(curve, t) for t in times]
+    assert curve_value_at(curve, np.asarray(times)).tolist() == expected
+    assert [curve_value_at(curve, t) for t in times] == expected
+    assert curve_value_at(DifficultyCurve(0.4, ()), [0.0, 1.0]).tolist() == [0.0, 0.0]

@@ -1,5 +1,6 @@
 """Feature vector tests: alignment, rolling summaries, modes, dump format."""
 
+import math
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -101,6 +102,26 @@ def test_alignment_range():
     rng = random.Random(12)
     for _ in range(500):
         assert 0 <= beat_alignment(rng.uniform(0, 64)) <= 15
+
+
+def scalar_alignment(beat):
+    """The per-beat rule: snap the 16ths to the nearest (half-even) within the snap, then floor."""
+    sixteenths = (beat - math.floor(beat)) * 16.0
+    nearest = round(sixteenths)
+    if abs(sixteenths - nearest) < ALIGNMENT_SNAP:
+        sixteenths = nearest
+    return math.floor(sixteenths) % 16
+
+
+def test_alignment_on_an_array_matches_the_scalar_rule():
+    boundaries = [k / 16 for k in range(4 * 16 + 1)]
+    beats = boundaries + [b + d for b in boundaries for d in (ALIGNMENT_SNAP / 32, -ALIGNMENT_SNAP / 32)]
+    beats += [1.0 - ALIGNMENT_SNAP / 32, 0.25 - 1e-3, 0.25 + 1e-3, 1 / 32, 3 / 32]
+    rng = random.Random(24)
+    beats += [rng.uniform(0, 64) for _ in range(500)]
+    expected = [scalar_alignment(b) for b in beats]
+    assert beat_alignment(np.asarray(beats)).tolist() == expected
+    assert [beat_alignment(b) for b in beats] == expected
 
 
 # -- summaries ----------------------------------------------------------------
@@ -349,6 +370,22 @@ def test_self_mode_fed_authored_flags_reproduces_truth_rows():
         beats = grid.object_beats
         assert calls == [i for i in range(len(beats)) if i == 0 or beats[i] != beats[i - 1]]
         assert all(shared)
+
+
+def test_predictor_cannot_write_into_the_feature_rows():
+    notes = [(0, 0, Lane.K1, 1), (0, 0, Lane.K2, 1), (0, Fraction(1, 2), Lane.K3, 1), (1, 0, Lane.BG, 1)]
+    chart = simple_chart(notes)
+
+    def playable(rows, start):
+        return np.ones(len(rows), dtype=bool)
+
+    def vandal(rows, start):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[:] = 7.0
+        return playable(rows, start)
+
+    expected = features_for(chart, summary_source="self", predictor=playable)
+    assert np.array_equal(features_for(chart, summary_source="self", predictor=vandal), expected)
 
 
 def test_self_predictor_required():

@@ -1,5 +1,6 @@
 """Selection network: forward oracle, gradients, training behavior, files."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,11 +9,14 @@ import pytest
 
 from keysoundgen.audio import load_taxonomy
 from keysoundgen.bms import BpmEvent, Lane, SampleRef, TimedObject, make_chart
+from keysoundgen.corpus import random_chart
+from keysoundgen.dataset import resolve_labels
 from keysoundgen.difficulty import chart_difficulty
 from keysoundgen.errors import DataError
 from keysoundgen.features import (
     FEATURE_DIM,
     FULL_MODE,
+    NO_DIFFICULTY_MODE,
     NO_SUMMARY_MODE,
     FeatureMode,
     build_features,
@@ -410,6 +414,42 @@ def test_predict_chart_self_ignores_authored_flags():
     a = predict_chart(model, chart, grid, curve, labels, "self")
     b = predict_chart(model, stripped, TimeGrid(stripped), curve, labels, "self")
     assert np.array_equal(a, b)
+
+
+def test_self_rollout_runs_one_forward_per_instant(monkeypatch):
+    calls = []
+    original = SelectorModel.forward
+
+    def forward(model, x):
+        calls.append((x.shape, x.dtype, x.flags["C_CONTIGUOUS"]))
+        return original(model, x)
+
+    monkeypatch.setattr(SelectorModel, "forward", forward)
+    model = SelectorModel(FULL_MODE, seed=12)
+    rng = random.Random(24)
+    for _ in range(40):
+        chart = random_chart(rng)
+        grid = TimeGrid(chart)
+        labels = resolve_labels(chart, TAXONOMY)
+        calls.clear()
+        predict_chart(model, chart, grid, chart_difficulty(chart), labels, "self")
+        assert len(calls) == len(set(grid.object_beats))
+        for shape, dtype, contiguous in calls:
+            assert shape[1] == FEATURE_DIM and dtype == np.float64 and contiguous
+        assert sum(shape[0] for shape, _, _ in calls) == len(chart.objects)
+
+
+def test_predict_chart_self_feeds_a_no_difficulty_model_its_columns():
+    chart = chart_for_prediction()
+    grid = TimeGrid(chart)
+    curve = chart_difficulty(chart)
+    labels = labels_for(chart)
+    model = SelectorModel(NO_DIFFICULTY_MODE, seed=12)
+    flags = predict_chart(model, chart, grid, curve, labels, "self")
+    rows = build_features(
+        chart, grid, curve, labels, "self", lambda rows, start: flags[start : start + len(rows)]
+    )
+    assert np.array_equal(predict_flags(model, rows), flags)
 
 
 def test_predict_chart_rejects_summary_mode_mismatch():
