@@ -23,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, lcm
 from pathlib import Path
 from types import MappingProxyType
@@ -167,7 +166,7 @@ class Chart:
     objects: tuple[TimedObject, ...]
     sample_table: Mapping[int, str]  # read-only: every object's sample id stays in it
     bpm_events: tuple[BpmEvent, ...]
-    measure_lengths: dict[int, Fraction]
+    measure_lengths: Mapping[int, Fraction]  # read-only: every length stays positive
     metadata: Metadata = Metadata()
     warnings: tuple[ParseWarning, ...] = field(default=(), compare=False)
 
@@ -263,7 +262,9 @@ def make_chart(
                 )
             last_playable = key
 
-    return Chart(objs, MappingProxyType(table), events, lengths, metadata, tuple(warnings))
+    return Chart(
+        objs, MappingProxyType(table), events, MappingProxyType(lengths), metadata, tuple(warnings)
+    )
 
 
 def with_lanes(chart: Chart, lanes) -> Chart:
@@ -488,9 +489,12 @@ def load_bms(path: str | Path) -> Chart:
 def emit_bms(chart: Chart) -> str:
     """Serialize a Chart as BMS text with a deterministic layout.
 
-    Measure/channel messages use the least common multiple of the object
-    position denominators; simultaneous background objects are stacked
-    into extra channel-01 lines.
+    Each message line is keyed (measure, rank, channel) and the lines are
+    written in key order.  Rank 0 is the measure length, 1 the BPM changes,
+    2 the lanes and 3 + depth each channel-01 line: simultaneous background
+    objects are stacked, the k-th object at a position going to depth k.
+    A line packs its positions into the least common multiple of their
+    denominators.
     """
     lines: list[str] = []
     meta = chart.metadata
@@ -515,39 +519,30 @@ def emit_bms(chart: Chart) -> str:
 
     lines.append("")
 
-    bpm_by_measure: dict[int, list[tuple[Fraction, int]]] = {}
+    # rank 0 holds the formatted length; every other rank, (position, token) entries
+    messages: dict[tuple[int, int, int], list | str] = {
+        (measure, 0, CHANNEL_MEASURE_LENGTH): _format_fraction(length)
+        for measure, length in chart.measure_lengths.items()
+    }
     for i, event in enumerate(later_events, start=1):
-        bpm_by_measure.setdefault(event.measure, []).append((event.position, i))
-
-    lanes_by_measure: dict[int, dict[Lane, list[TimedObject]]] = {}
-    bgm_by_measure: dict[int, list[TimedObject]] = {}
+        key = (event.measure, 1, CHANNEL_BPM_INDEXED)
+        messages.setdefault(key, []).append((event.position, base36_encode(i)))
+    depth = 0
+    previous = None  # (measure, position) of the last background object
     for obj in chart.objects:
         if obj.lane is Lane.BG:
-            bgm_by_measure.setdefault(obj.measure, []).append(obj)
+            # objects are sorted, so a position's background objects are adjacent
+            here = (obj.measure, obj.position)
+            depth = depth + 1 if here == previous else 0
+            previous = here
+            key = (obj.measure, 3 + depth, CHANNEL_BGM)
         else:
-            lanes_by_measure.setdefault(obj.measure, {}).setdefault(obj.lane, []).append(obj)
+            key = (obj.measure, 2, CHANNEL_BY_LANE[obj.lane])
+        messages.setdefault(key, []).append((obj.position, base36_encode(obj.sample.id)))
 
-    measures = sorted(
-        set(chart.measure_lengths)
-        | set(bpm_by_measure)
-        | set(lanes_by_measure)
-        | set(bgm_by_measure)
-    )
-
-    for measure in measures:
-        if measure in chart.measure_lengths:
-            lines.append(f"#{measure:03d}{CHANNEL_MEASURE_LENGTH:02d}:{_format_fraction(chart.measure_lengths[measure])}")
-        if measure in bpm_by_measure:
-            entries = [(pos, base36_encode(idx)) for pos, idx in bpm_by_measure[measure]]
-            lines.append(f"#{measure:03d}{CHANNEL_BPM_INDEXED:02d}:{_pack_message(entries)}")
-        for lane in sorted(lanes_by_measure.get(measure, {}), key=lambda l: CHANNEL_BY_LANE[l]):
-            entries = [
-                (o.position, base36_encode(o.sample.id))
-                for o in lanes_by_measure[measure][lane]
-            ]
-            lines.append(f"#{measure:03d}{CHANNEL_BY_LANE[lane]:02d}:{_pack_message(entries)}")
-        for layer in _bgm_layers(bgm_by_measure.get(measure, [])):
-            lines.append(f"#{measure:03d}{CHANNEL_BGM:02d}:{layer}")
+    for (measure, rank, channel), message in sorted(messages.items()):
+        text = message if rank == 0 else _pack_message(message)
+        lines.append(f"#{measure:03d}{channel:02d}:{text}")
 
     lines.append("")
     return "\n".join(lines)
@@ -578,28 +573,6 @@ def _pack_message(entries: list[tuple[Fraction, str]]) -> str:
         slot = pos.numerator * (denominator // pos.denominator)
         tokens[slot] = token
     return "".join(tokens)
-
-
-def _bgm_layers(objects: list[TimedObject]) -> list[str]:
-    """Stack simultaneous background objects into parallel channel-01 lines.
-
-    objects come in chart order, so each position is one run, in ascending
-    position order.
-    """
-    groups = [
-        list(run)
-        for _, run in groupby(objects, key=lambda o: (o.position.numerator, o.position.denominator))
-    ]
-    depth = max((len(group) for group in groups), default=0)
-    layers = []
-    for level in range(depth):
-        entries = [
-            (group[level].position, base36_encode(group[level].sample.id))
-            for group in groups
-            if len(group) > level
-        ]
-        layers.append(_pack_message(entries))
-    return layers
 
 
 def _format_number(value: float) -> str:

@@ -151,14 +151,12 @@ def _song_chart(rng: random.Random, plan: SongPlan, level: int, measures: int) -
             next_id += 1
 
     objects = []
-    flags = []
     for measure in range(measures):
         for instrument in plan.instruments:
             for position in _measure_slots(rng, instrument, density):
                 variant = rng.randrange(plan.variants[instrument])
                 sid = sample_ids[(instrument, variant)]
                 objects.append(TimedObject(measure, position, SampleRef(sid), Lane.BG))
-                flags.append(plan.roles[instrument])
 
     lengths = {}
     if rng.random() < 0.3:
@@ -171,14 +169,11 @@ def _song_chart(rng: random.Random, plan: SongPlan, level: int, measures: int) -
         lengths,
         Metadata(title=plan.name, artist="corpus", difficulty_label=str(level)),
     )
-    # make_chart re-sorts, so align the flags with the canonical order
-    flag_by_key = {}
-    for obj, flag in zip(objects, flags):
-        flag_by_key[(obj.measure, obj.position, obj.sample.id)] = flag
-    ordered_flags = [flag_by_key[(o.measure, o.position, o.sample.id)] for o in chart.objects]
-
+    # an object's flag is its sample's instrument role
+    role = {sid: plan.roles[inst] for (inst, _), sid in sample_ids.items()}
+    flags = [role[obj.sample.id] for obj in chart.objects]
     scratch_ids = {sid for (inst, _), sid in sample_ids.items() if inst == "scratch"}
-    return apply_selection(chart, ordered_flags, scratch_ids)
+    return apply_selection(chart, flags, scratch_ids)
 
 
 def build_corpus(config: CorpusConfig = CorpusConfig()) -> list[CorpusEntry]:

@@ -41,9 +41,13 @@ class StrainConfig:
             raise DataError(
                 f"strain window_seconds must be finite and positive, got {self.window_seconds}"
             )
-        for name in ("decay_individual", "decay_overall"):
+        for name in ("decay_individual", "decay_overall", "top_weight"):
             if not 0 < getattr(self, name) <= 1:
                 raise DataError(f"strain {name} must be in (0, 1], got {getattr(self, name)}")
+        for name in ("base_individual", "base_overall", "weight_individual", "weight_overall"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise DataError(f"strain {name} must be finite and at least 0, got {value}")
 
 
 DEFAULT_STRAIN = StrainConfig()
@@ -69,14 +73,16 @@ class DifficultyCurve:
 
 
 class ControlStrain:
-    """Per-control individual strain: decays between presses, grows on each press.
+    """Strain per control: decays by `decay` per second, and a press adds `base` per object.
 
-    Controls are ints: lane values, control indices or sample ids.
+    Controls are ints: lane values, control indices or sample ids.  The
+    strain model keeps one for its controls and one, on control 0, for its
+    overall accumulator; placement keeps its own.
     """
 
-    def __init__(self, config: StrainConfig = DEFAULT_STRAIN):
-        self._decay = config.decay_individual
-        self._base = config.base_individual
+    def __init__(self, decay: float, base: float):
+        self._decay = decay
+        self._base = base
         self._strain: dict[int, float] = {}
         self._last: dict[int, float] = {}
 
@@ -87,8 +93,8 @@ class ControlStrain:
             return 0.0
         return self._strain[control] * self._decay ** (t - last)
 
-    def press(self, control: int, t: float) -> float:
-        strain = self.at(control, t) + self._base
+    def press(self, control: int, t: float, count: int = 1) -> float:
+        strain = self.at(control, t) + self._base * count
         self._strain[control] = strain
         self._last[control] = t
         return strain
@@ -111,18 +117,15 @@ def compute_strain(
         control_of = lambda obj: obj.sample.id
 
     result: list[ObjectStrain | None] = [None] * len(chart.objects)
-    individual = ControlStrain(config)
-    overall = 0.0
-    last_overall_time = 0.0
+    individual = ControlStrain(config.decay_individual, config.base_individual)
+    overall = ControlStrain(config.decay_overall, config.base_overall)
 
     for group in grid.instant_groups(contributing):
         t = grid.object_seconds[group[0]]
-        overall = overall * config.decay_overall ** (t - last_overall_time)
-        overall += config.base_overall * len(group)
-        last_overall_time = t
+        overall_strain = overall.press(0, t, len(group))
         for i in group:
             strain = individual.press(control_of(chart.objects[i]), t)
-            result[i] = ObjectStrain(strain, overall)
+            result[i] = ObjectStrain(strain, overall_strain)
     return result
 
 
@@ -193,8 +196,8 @@ def curve_from_text(text: str, config: StrainConfig = DEFAULT_STRAIN) -> Difficu
             raise DataError(f"curve line {lineno}: non-numeric field in {line!r}") from None
         if index != len(values):
             raise DataError(f"curve line {lineno}: expected window index {len(values)}, got {index}")
-        if value < 0:
-            raise DataError(f"curve line {lineno}: negative difficulty {value}")
+        if not (isfinite(value) and value >= 0):
+            raise DataError(f"curve line {lineno}: negative or non-finite difficulty {value}")
         values.append(value)
     return DifficultyCurve(config.window_seconds, tuple(values), overall_difficulty(values, config))
 

@@ -102,10 +102,7 @@ def run_experiment(
     variants=DEFAULT_VARIANTS,
 ) -> ExperimentReport:
     """Train each distinct feature mode once, then score the test split."""
-    for example in examples:
-        if example.song not in split.assignment:
-            raise DataError(f"song {example.song!r} missing from the split plan")
-    test = [e for e in examples if split.assignment[e.song] == "test"]
+    test = split.partition(examples)["test"]
     if not test:
         raise DataError("split leaves an empty test partition")
 

@@ -12,6 +12,7 @@ causal and lets generated charts stream their own predictions back in
 and divided once, so truth and self modes give bit-identical vectors from
 the same flags.  Window edges and class totals need no flags, so a chart
 finds them once, and a self-fed instant only reads and divides its counts.
+An instant is one TimeGrid instant: the objects at one exact beat.
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ def build_features(
     labels holds one InstrumentLabel per object.  summary_source picks
     where the summary playability stream comes from: "truth" reads the
     chart's authored flags, "self" feeds predicted flags back in, and
-    "none" zeroes the whole summary block.  Self mode steps one instant
-    (run of equal beats) at a time: every object of an instant sees the
-    same summary, so predictor(rows, start) -> (k,) bool receives the k
-    finished rows of objects start..start+k-1 at once, read-only (required).
+    "none" zeroes the whole summary block.  Self mode steps one TimeGrid
+    instant at a time: every object of an instant sees the same summary,
+    so predictor(rows, start) -> (k,) bool receives the k finished rows of
+    objects start..start+k-1 at once, read-only (required).
     """
     if summary_source not in SUMMARY_SOURCES:
         raise DataError(f"summary_source must be one of {SUMMARY_SOURCES}, got {summary_source!r}")
@@ -161,8 +162,7 @@ def build_features(
         return rows
 
     counts = SummaryCounts(grid.object_beats, instruments)
-    # an instant starts wherever the beat changes
-    starts = np.flatnonzero(np.diff(counts.beats, prepend=-np.inf))
+    starts = np.flatnonzero(np.diff(grid.object_instants, prepend=-1))
     edges, denominators = counts.windows(counts.beats[starts])
     summary = rows[:, COL_SUMMARY:].reshape(n, len(SUMMARY_WINDOWS), PAIRS, copy=False)
     if summary_source == "truth":
@@ -193,12 +193,7 @@ class FeatureMode:
 
     @property
     def width(self) -> int:
-        return (
-            (1 if self.use_difficulty else 0)
-            + CATEGORY_COUNT
-            + 1
-            + (SUMMARY_DIM if self.use_summary else 0)
-        )
+        return len(self.columns)
 
     @cached_property
     def columns(self) -> np.ndarray:

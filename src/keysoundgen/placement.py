@@ -44,7 +44,7 @@ def assign_controls(
 
     objects = chart.objects
     lanes: list[Lane] = [Lane.BG] * len(objects)
-    strain = ControlStrain(config)
+    strain = ControlStrain(config.decay_individual, config.base_individual)
 
     for group in grid.instant_groups([i for i, flagged in enumerate(flags) if flagged]):
         if len(group) > len(CONTROL_LANES):

@@ -98,25 +98,27 @@ class SelectorModel:
             x = x[np.newaxis, :]
         if x.shape[1] != self.input_width:
             raise DataError(f"model expects width {self.input_width}, got {x.shape[1]}")
+        return self._activations(x)[-1]
+
+    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """x, then each layer's output: ReLU on the hidden layers, linear on the last."""
+        post = [x]
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             x = np.maximum(x @ w + b, 0.0)
-        return x @ self.weights[-1] + self.biases[-1]
-
-    def _forward_cached(self, x: np.ndarray):
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [x]
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = post[-1] @ w + b
-            pre.append(z)
-            post.append(np.maximum(z, 0.0) if i < len(self.weights) - 1 else z)
-        return pre, post
+            post.append(x)
+        post.append(x @ self.weights[-1] + self.biases[-1])
+        return post
 
 
-def _targets(flags: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(flags), 2))
-    out[:, 0] = flags
-    out[:, 1] = ~flags
-    return out
+def _weighted_errors(pred: np.ndarray, flags, config: TrainConfig):
+    """(per-example weights, pred minus the one-hot, weighted MSE)."""
+    flags = np.asarray(flags, dtype=bool).reshape(-1)
+    weights = np.where(flags, config.weight_playable, config.weight_nonplayable)
+    targets = np.zeros((len(flags), 2))
+    targets[:, 0] = flags
+    targets[:, 1] = ~flags
+    err = pred - targets
+    return weights, err, float(np.mean(weights * np.mean(err * err, axis=1)))
 
 
 def weighted_mse(
@@ -126,30 +128,24 @@ def weighted_mse(
     pred = np.asarray(pred, dtype=np.float64)
     if pred.ndim == 1:
         pred = pred[np.newaxis, :]
-    flags = np.asarray(flags, dtype=bool).reshape(-1)
-    weights = np.where(flags, config.weight_playable, config.weight_nonplayable)
-    err = pred - _targets(flags)
-    return float(np.mean(weights * np.mean(err * err, axis=1)))
+    return _weighted_errors(pred, flags, config)[2]
 
 
 def _loss_and_gradients(model: SelectorModel, x, flags, config: TrainConfig):
-    n = len(x)
-    pre, post = model._forward_cached(x)
-    flags = np.asarray(flags, dtype=bool)
-    weights = np.where(flags, config.weight_playable, config.weight_nonplayable)
-    err = post[-1] - _targets(flags)
-    loss = float(np.mean(weights * np.mean(err * err, axis=1)))
+    post = model._activations(x)
+    weights, err, loss = _weighted_errors(post[-1], flags, config)
 
     # d(loss)/d(pred): the per-example mean over 2 outputs cancels the
     # squaring's factor 2
-    delta = weights[:, np.newaxis] * err / n
+    delta = weights[:, np.newaxis] * err / len(x)
     grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
     grad_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
     for i in reversed(range(len(model.weights))):
         grad_w[i] = post[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre[i - 1] > 0.0)
+            # post[i] is a ReLU output, positive exactly where its input was
+            delta = (delta @ model.weights[i].T) * (post[i] > 0.0)
     return loss, grad_w, grad_b
 
 
@@ -265,6 +261,15 @@ class SplitPlan:
             if part not in SPLIT_NAMES:
                 raise DataError(f"song {song!r} assigned to unknown split {part!r}")
 
+    def partition(self, examples) -> dict[str, list]:
+        """Examples (anything with a .song) by split name, each list in input order."""
+        parts: dict[str, list] = {name: [] for name in SPLIT_NAMES}
+        for example in examples:
+            if example.song not in self.assignment:
+                raise DataError(f"song {example.song!r} missing from the split plan")
+            parts[self.assignment[example.song]].append(example)
+        return parts
+
 
 def make_split(songs, seed: int = 0) -> SplitPlan:
     """Shuffle songs and cut 80/10/10."""
@@ -301,11 +306,7 @@ def train_selector(
     then the affine transform is folded into the first layer, so the
     returned model still consumes raw feature rows.
     """
-    parts: dict[str, list] = {name: [] for name in SPLIT_NAMES}
-    for example in examples:
-        if example.song not in split.assignment:
-            raise DataError(f"song {example.song!r} missing from the split plan")
-        parts[split.assignment[example.song]].append(example)
+    parts = split.partition(examples)
     if not parts["train"] or not parts["validation"]:
         raise DataError("split leaves an empty train or validation partition")
 

@@ -373,6 +373,19 @@ def test_sample_table_is_read_only():
     assert chart == simple_chart()
     doc = json.loads(chart_to_json(chart))
     assert doc["samples"] == {"1": "kick.wav", "2": "snare.wav", "37": "bass.wav"}
+
+
+def test_measure_lengths_are_read_only():
+    lengths = {1: Fraction(3, 4)}
+    chart = simple_chart(measure_lengths=lengths)
+    with pytest.raises(TypeError):
+        chart.measure_lengths[0] = Fraction(-3)
+    with pytest.raises(TypeError):
+        del chart.measure_lengths[1]
+    lengths[1] = Fraction(5, 4)
+    assert chart.measure_lengths == {1: Fraction(3, 4)}
+    assert chart == simple_chart()
+    assert json.loads(chart_to_json(chart))["measure_lengths"] == {"1": "3/4"}
     assert chart_from_json(chart_to_json(chart)) == chart
 
 

@@ -135,6 +135,29 @@ def test_bad_strain_window_exits_two(tmp_path, capsys):
         assert "window_seconds must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("top_weight", "inf", "top_weight must be in (0, 1], got inf"),
+        ("top_weight", "2", "top_weight must be in (0, 1], got 2.0"),
+        ("top_weight", "0", "top_weight must be in (0, 1], got 0.0"),
+        ("base_individual", "nan", "base_individual must be finite and at least 0, got nan"),
+        ("base_overall", "inf", "base_overall must be finite and at least 0, got inf"),
+        ("weight_individual", "-0.5", "weight_individual must be finite and at least 0, got -0.5"),
+        ("weight_overall", "-1", "weight_overall must be finite and at least 0, got -1.0"),
+    ],
+)
+def test_out_of_range_strain_config_exits_two(tmp_path, capsys, key, value, message):
+    source = tmp_path / "in.bms"
+    make_source_chart(source)
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"strain.{key} = {value}\n", encoding="utf-8")
+    assert main(["--config", str(config), "difficulty", str(source)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_bad_strain_decay_exits_two(tmp_path, capsys):
     source = tmp_path / "in.bms"
     make_source_chart(source)
@@ -384,6 +407,28 @@ def test_generate_with_user_curve_and_summary_mode(tmp_path, corpus_dir, capsys)
     )
     assert code == 0
     assert load_bms(out).playable_indices()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_rejects_non_finite_curve_values(tmp_path, capsys, value):
+    source = tmp_path / "song.bms"
+    make_source_chart(source)
+    model_path = playable_everywhere_model(tmp_path / "model.bin")
+    curve_path = tmp_path / "curve.tsv"
+    curve_path.write_text(f"0\t{value}\n", encoding="utf-8")
+    out = tmp_path / "gen.bms"
+    code = main(
+        [
+            "generate", str(source), "-o", str(out),
+            "--model", str(model_path),
+            "--difficulty-curve", str(curve_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert f"negative or non-finite difficulty {value}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

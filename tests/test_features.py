@@ -367,9 +367,28 @@ def test_self_mode_fed_authored_flags_reproduces_truth_rows():
 
         rows = build_features(chart, grid, curve, labels, "self", authored_flags)
         assert np.array_equal(rows, build_features(chart, grid, curve, labels, "truth"))
-        beats = grid.object_beats
-        assert calls == [i for i in range(len(beats)) if i == 0 or beats[i] != beats[i - 1]]
+        instants = grid.object_instants
+        assert calls == [i for i in range(len(instants)) if i == 0 or instants[i] != instants[i - 1]]
         assert all(shared)
+
+
+def test_self_rollout_steps_by_timegrid_instants():
+    # the chart of test_timing's exact-instant test: 1/10**20 and 2/10**20
+    # share float beat 4.0 but are two instants, and 1/2 and 2/4 are one
+    positions = [Fraction(1, 10**20), Fraction(2, 10**20), Fraction(1, 2), Fraction(2, 4), Fraction(3, 4)]
+    lanes = [Lane.K1, Lane.BG, Lane.K1, Lane.K2, Lane.BG]
+    objects = [TimedObject(1, p, SampleRef(1), lane) for p, lane in zip(positions, lanes)]
+    chart = make_chart(objects, {1: "a.wav"}, [BpmEvent(0, Fraction(0), 120.0)])
+    authored = np.asarray([obj.playable for obj in chart.objects])
+    calls = []
+
+    def authored_flags(rows, start):
+        calls.append((start, len(rows)))
+        return authored[start : start + len(rows)]
+
+    rows = features_for(chart, summary_source="self", predictor=authored_flags)
+    assert calls == [(0, 1), (1, 1), (2, 2), (4, 1)]
+    assert np.array_equal(rows, features_for(chart))
 
 
 def test_predictor_cannot_write_into_the_feature_rows():
